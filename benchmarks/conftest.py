@@ -6,7 +6,9 @@ under pytest-benchmark (``rounds=1`` — these are minutes-scale harness
 runs, not microbenchmarks), prints the paper-style table, and persists
 it to ``benchmarks/results/`` twice: the rendered text as
 ``<name>.txt`` and a machine-readable ``<name>.json`` carrying the
-config, the per-row metrics and the measured wall seconds.
+config, the per-row metrics, the measured wall seconds and the
+provenance (commit, Python, numpy, CPU count) the ledger stamps on its
+own results.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from pathlib import Path
 from typing import Any, Optional
 
 import pytest
+
+from ledger.spec import provenance
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -67,7 +71,8 @@ def record_table(results_dir, request):
     ``text`` is printed and written verbatim (the paper-style table);
     ``rows`` (any sequence of dataclasses / namedtuples / dicts /
     tuples) and ``config`` land in the JSON document together with the
-    wall seconds pytest-benchmark measured for the test.
+    wall seconds pytest-benchmark measured for the test and the
+    run's provenance.
     """
 
     def _record(name: str, text: str, rows: Any = None,
@@ -81,6 +86,7 @@ def record_table(results_dir, request):
             "config": _jsonable(config) if config is not None else {},
             "rows": _jsonable(rows) if rows is not None else [],
             "wall_seconds": _wall_seconds(request),
+            "provenance": provenance(),
         }
         (results_dir / f"{name}.json").write_text(
             json.dumps(doc, indent=2, sort_keys=True) + "\n",

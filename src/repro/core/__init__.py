@@ -7,7 +7,6 @@ from repro.core.energy_naive import epol_naive
 from repro.core.born_octree import born_radii_octree, BornResult
 from repro.core.energy_octree import epol_octree, EpolResult
 from repro.core.dualtree import born_radii_dualtree
-from repro.core.forces import forces_naive, forces_octree, ForcesResult
 from repro.core.solver import PolarizationSolver, SolverReport
 
 __all__ = [
@@ -25,9 +24,6 @@ __all__ = [
     "epol_octree",
     "EpolResult",
     "born_radii_dualtree",
-    "forces_naive",
-    "forces_octree",
-    "ForcesResult",
     "PolarizationSolver",
     "SolverReport",
 ]

@@ -1,7 +1,7 @@
-"""Durable checkpoint/restart for long-running solves and MD blocks.
+"""Durable checkpoint/restart for long-running solves.
 
-A checkpoint is one file per ``kind`` (``born.ckpt``, ``epol.ckpt``,
-``md.ckpt``) inside a user-chosen directory:
+A checkpoint is one file per ``kind`` (``born.ckpt``, ``epol.ckpt``)
+inside a user-chosen directory:
 
 .. code-block:: text
 

@@ -3,7 +3,6 @@
 from repro.octree.morton import morton_encode, morton_decode
 from repro.octree.build import Octree, build_octree
 from repro.octree.stats import OctreeStats, octree_stats
-from repro.octree.update import UpdateStats, refit, update_octree
 
 __all__ = [
     "morton_encode",
@@ -12,7 +11,4 @@ __all__ = [
     "build_octree",
     "OctreeStats",
     "octree_stats",
-    "UpdateStats",
-    "refit",
-    "update_octree",
 ]
