@@ -155,11 +155,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
                     return 0
                 report = guarded.report()
                 energy, radii = report.energy, report.born_radii
-                # The tracing/profile paths below want a solver whose
-                # cached radii match what the guarded run settled on.
-                solver = PolarizationSolver(mol, report.params,
-                                            method=report.method)
-                solver._born = report.born_radii
+                # The schedule below replays the per-leaf counts of the
+                # rung the guarded run settled on (None on a resume).
+                solver = guarded.inner_solver
     except DiagnosticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         obs.disable()
@@ -184,7 +182,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
               f"({100 * abs(energy - ref) / abs(ref):.4f} % difference)")
     if args.trace:
         runstats = None
-        if args.method != "naive":
+        if solver is not None and solver.born_result is not None:
             profile = WorkProfile.from_solver(solver)
             runstats = simulate_fig4(profile, args.trace_procs,
                                      args.trace_threads, seed=args.seed)

@@ -8,35 +8,40 @@ the inner loops remain pure vector code.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.constants import FOUR_PI, RGBMAX
+from repro.core.gb import born_integral_block
 from repro.molecules.molecule import Molecule
 
 
-def _surface_sums(molecule: Molecule, power: int, block: int) -> np.ndarray:
-    """``s_i = Σ_k w_k (r_k − x_i)·n_k / |r_k − x_i|^power`` for all atoms."""
+def surface_integrals(molecule: Molecule, power: int = 6, block: int = 256,
+                      atoms: Optional[np.ndarray] = None,
+                      phase: str = "born") -> np.ndarray:
+    """``s_i = Σ_k w_k (r_k − x_i)·n_k / |r_k − x_i|^power`` for the atoms
+    ``atoms`` (default: all), ``block`` atoms per kernel call.
+
+    Raises :class:`~repro.guard.errors.DegenerateGeometryError` (tagged
+    ``phase``) when an atom centre coincides with a quadrature point.
+    """
     surf = molecule.require_surface()
-    pts = surf.points
-    wn = surf.weighted_normals           # w_k · n_k, (N, 3)
-    pos = molecule.positions
-    m = len(pos)
-    s = np.empty(m, dtype=np.float64)
-    half = power // 2
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        diff = pts[None, :, :] - pos[lo:hi, None, :]      # (b, N, 3)
-        r2 = np.einsum("bnk,bnk->bn", diff, diff)
-        if np.any(r2 == 0.0):
-            from repro.guard.errors import DegenerateGeometryError
-            bad = lo + np.flatnonzero((r2 == 0.0).any(axis=1))
-            raise DegenerateGeometryError(
-                "a quadrature point coincides with an atom centre; "
-                "the surface integrand is singular there",
-                phase="born", indices=bad,
-                hint="run repro doctor on this molecule")
-        numer = np.einsum("bnk,nk->bn", diff, wn)
-        s[lo:hi] = np.sum(numer / r2 ** half, axis=1)
+    idx = np.arange(molecule.natoms) if atoms is None else np.asarray(atoms)
+    s = np.empty(len(idx), dtype=np.float64)
+    singular = np.zeros(len(idx), dtype=bool)
+    for lo in range(0, len(idx), block):
+        sl = slice(lo, lo + block)
+        s[sl] = born_integral_block(
+            molecule.positions[idx[sl]], surf.points, surf.weighted_normals,
+            power=power, coincident=singular[sl])
+    if singular.any():
+        from repro.guard.errors import DegenerateGeometryError
+        raise DegenerateGeometryError(
+            "a quadrature point coincides with an atom centre; "
+            "the surface integrand is singular there",
+            phase=phase, indices=idx[singular],
+            hint="run repro doctor on this molecule")
     return s
 
 
@@ -70,7 +75,7 @@ def integral_to_radius_r4(s: np.ndarray, intrinsic: np.ndarray) -> np.ndarray:
 
 def born_radii_naive_r6(molecule: Molecule, block: int = 256) -> np.ndarray:
     """Exact surface-based r⁶ Born radii (Eq. 4), O(M·N)."""
-    s = _surface_sums(molecule, power=6, block=block)
+    s = surface_integrals(molecule, power=6, block=block)
     return integral_to_radius_r6(s, molecule.radii)
 
 
@@ -80,5 +85,5 @@ def born_radii_naive_r4(molecule: Molecule, block: int = 256) -> np.ndarray:
     Provided for completeness; the paper (after Grycuk) prefers r⁶ for
     protein-like solutes.
     """
-    s = _surface_sums(molecule, power=4, block=block)
+    s = surface_integrals(molecule, power=4, block=block)
     return integral_to_radius_r4(s, molecule.radii)

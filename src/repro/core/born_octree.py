@@ -38,9 +38,9 @@ import numpy as np
 
 from repro.config import ApproxParams
 from repro.core.born_naive import integral_to_radius_r6
-from repro.core.gb import fast_rsqrt
+from repro.core.gb import born_integral_block, inv_r6
 from repro.geomutil import ranges_to_indices
-from repro.obs import record_traversal_metrics, traced
+from repro.obs import record_traversal_metrics, span, traced
 from repro.molecules.molecule import Molecule
 from repro.octree.build import NO_CHILD, Octree, build_octree
 
@@ -124,14 +124,6 @@ def _born_far_mask(r: np.ndarray, rsum: np.ndarray,
     return (gap > 0.0) & (r + rsum < beta * gap)
 
 
-def _inv_r6(r2: np.ndarray, approx_math: bool) -> np.ndarray:
-    if approx_math:
-        y = fast_rsqrt(np.maximum(r2, 1e-30))
-        p = y * y
-        return p * p * p
-    return 1.0 / np.maximum(r2, 1e-30) ** 3
-
-
 @traced("born.approx_integrals")
 def approx_integrals(atoms_tree: Octree,
                      q_tree: Octree,
@@ -212,87 +204,87 @@ def approx_integrals(atoms_tree: Octree,
             raise ValueError(  # lint: ignore[RPR007] — API arg check
                 "atom_range out of bounds")
 
-    while len(a_front):
-        if atom_range is not None:
-            # Prune atom subtrees disjoint from this rank's atom range.
-            keep = ~((atoms_tree.end[a_front] <= rng_s)
-                     | (atoms_tree.start[a_front] >= rng_e))
-            a_front, q_front = a_front[keep], q_front[keep]
-            if not len(a_front):
-                break
-        counts.frontier_visits += len(a_front)
-        visits_q += np.bincount(q_front, minlength=nq)
-        dv = q_center[q_front] - a_center[a_front]
-        r2 = np.einsum("ij,ij->i", dv, dv)
-        r = np.sqrt(r2)
-        rsum = a_radius[a_front] + q_radius[q_front]
-        far = _born_far_mask(r, rsum, params)
-        if atom_range is not None:
-            # A far node straddling the range boundary may not take the
-            # deposit (it would leak to atoms outside the range) — force
-            # descent instead.
-            inside = ((atoms_tree.start[a_front] >= rng_s)
-                      & (atoms_tree.end[a_front] <= rng_e))
-            far &= inside
+    with span("born.approx_integrals.far"):
+        while len(a_front):
+            if atom_range is not None:
+                # Prune atom subtrees disjoint from this rank's atom range.
+                keep = ~((atoms_tree.end[a_front] <= rng_s)
+                         | (atoms_tree.start[a_front] >= rng_e))
+                a_front, q_front = a_front[keep], q_front[keep]
+                if not len(a_front):
+                    break
+            counts.frontier_visits += len(a_front)
+            visits_q += np.bincount(q_front, minlength=nq)
+            dv = q_center[q_front] - a_center[a_front]
+            r2 = np.einsum("ij,ij->i", dv, dv)
+            r = np.sqrt(r2)
+            rsum = a_radius[a_front] + q_radius[q_front]
+            far = _born_far_mask(r, rsum, params)
+            if atom_range is not None:
+                # A far node straddling the range boundary may not take the
+                # deposit (it would leak to atoms outside the range) — force
+                # descent instead.
+                inside = ((atoms_tree.start[a_front] >= rng_s)
+                          & (atoms_tree.end[a_front] <= rng_e))
+                far &= inside
 
-        if far.any():
-            fa, fq = a_front[far], q_front[far]
-            numer = np.einsum("ij,ij->i", q_wn[fq],
-                              q_center[fq] - a_center[fa])
-            contrib = numer * _inv_r6(r2[far], params.approx_math)
-            s_node += np.bincount(fa, weights=contrib,
-                                  minlength=atoms_tree.nnodes)
-            far_q += np.bincount(fq, minlength=nq)
-            counts.far_evaluations += int(far.sum())
+            if far.any():
+                fa, fq = a_front[far], q_front[far]
+                numer = np.einsum("ij,ij->i", q_wn[fq],
+                                  q_center[fq] - a_center[fa])
+                contrib = numer * inv_r6(r2[far], params.approx_math)
+                s_node += np.bincount(fa, weights=contrib,
+                                      minlength=atoms_tree.nnodes)
+                far_q += np.bincount(fq, minlength=nq)
+                counts.far_evaluations += int(far.sum())
 
-        rest = ~far
-        ra, rq = a_front[rest], q_front[rest]
-        leafmask = a_is_leaf[ra]
-        if leafmask.any():
-            near_a.append(ra[leafmask])
-            near_q.append(rq[leafmask])
-        inner = ~leafmask
-        if inner.any():
-            ia, iq = ra[inner], rq[inner]
-            ch = children[ia]                        # (k, 8)
-            valid = ch != NO_CHILD
-            a_front = ch[valid]
-            q_front = np.repeat(iq, valid.sum(axis=1))
-        else:
-            a_front = np.empty(0, dtype=np.int64)
-            q_front = np.empty(0, dtype=np.int64)
+            rest = ~far
+            ra, rq = a_front[rest], q_front[rest]
+            leafmask = a_is_leaf[ra]
+            if leafmask.any():
+                near_a.append(ra[leafmask])
+                near_q.append(rq[leafmask])
+            inner = ~leafmask
+            if inner.any():
+                ia, iq = ra[inner], rq[inner]
+                ch = children[ia]                        # (k, 8)
+                valid = ch != NO_CHILD
+                a_front = ch[valid]
+                q_front = np.repeat(iq, valid.sum(axis=1))
+            else:
+                a_front = np.empty(0, dtype=np.int64)
+                q_front = np.empty(0, dtype=np.int64)
 
     # Exact leaf–leaf blocks, grouped by atoms leaf so each group is a
     # single vector kernel over (atoms × gathered q-points).
     if near_a:
-        na = np.concatenate(near_a)
-        nq_rows = np.concatenate(near_q)
-        order = np.argsort(na, kind="stable")
-        na, nq_rows = na[order], nq_rows[order]
-        q_pts = q_tree.points
-        q_starts = q_tree.start[leaf_ids]
-        q_ends = q_tree.end[leaf_ids]
-        wn = weighted_normals_sorted
-        uniq, first = np.unique(na, return_index=True)
-        bounds = np.append(first, len(na))
-        for u, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
-            rows = nq_rows[lo:hi]
-            qsel = ranges_to_indices(q_starts[rows], q_ends[rows])
-            a_lo, a_hi = int(atoms_tree.start[u]), int(atoms_tree.end[u])
-            if atom_range is not None:
-                a_lo, a_hi = max(a_lo, rng_s), min(a_hi, rng_e)
-                if a_lo >= a_hi:
-                    continue
-            apts = atoms_tree.points[a_lo:a_hi]
-            diff = q_pts[qsel][None, :, :] - apts[:, None, :]
-            r2 = np.einsum("aqk,aqk->aq", diff, diff)
-            numer = np.einsum("aqk,qk->aq", diff, wn[qsel])
-            vals = np.sum(numer * _inv_r6(r2, params.approx_math), axis=1)
-            s_atom[a_lo:a_hi] += vals
-            counts.near_pair_blocks += len(rows)
-            counts.exact_interactions += diff.shape[0] * diff.shape[1]
-            np.add.at(exact_q, rows,
-                      len(apts) * (q_ends[rows] - q_starts[rows]))
+        with span("born.approx_integrals.near"):
+            na = np.concatenate(near_a)
+            nq_rows = np.concatenate(near_q)
+            order = np.argsort(na, kind="stable")
+            na, nq_rows = na[order], nq_rows[order]
+            # One take gathers a group's q-point and w·n rows.
+            qrows = np.vstack([q_tree.points.T, weighted_normals_sorted.T])
+            q_starts = q_tree.start[leaf_ids]
+            q_ends = q_tree.end[leaf_ids]
+            uniq, first = np.unique(na, return_index=True)
+            bounds = np.append(first, len(na))
+            for u, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
+                rows = nq_rows[lo:hi]
+                qsel = ranges_to_indices(q_starts[rows], q_ends[rows])
+                a_lo, a_hi = int(atoms_tree.start[u]), int(atoms_tree.end[u])
+                if atom_range is not None:
+                    a_lo, a_hi = max(a_lo, rng_s), min(a_hi, rng_e)
+                    if a_lo >= a_hi:
+                        continue
+                q = np.take(qrows, qsel, axis=1)
+                s_atom[a_lo:a_hi] += born_integral_block(
+                    atoms_tree.points[a_lo:a_hi], q[:3].T, q[3:].T,
+                    params.approx_math)
+                counts.near_pair_blocks += len(rows)
+                counts.exact_interactions += (a_hi - a_lo) * len(qsel)
+                np.add.at(exact_q, rows,
+                          (a_hi - a_lo) * (q_ends[rows] - q_starts[rows]))
 
     return s_node, s_atom, counts, per_source
 

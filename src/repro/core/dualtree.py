@@ -29,12 +29,12 @@ from repro.core.born_octree import (
     PerSourceCounts,
     TraversalCounts,
     _born_far_mask,
-    _inv_r6,
     ancestor_prefix,
     push_integrals_to_atoms,
 )
 from repro.core.energy_octree import EpolResult, build_charge_buckets
-from repro.core.gb import energy_prefactor, inv_fgb_still
+from repro.core.gb import (born_integral_block, energy_prefactor,
+                           inv_fgb_still, inv_r6, pair_energy_matrix)
 from repro.geomutil import ranges_to_indices
 from repro.obs import record_bucket_metrics, record_traversal_metrics
 from repro.constants import TAU_WATER
@@ -156,8 +156,7 @@ def born_radii_dualtree(molecule: Molecule,
         if far.any():
             fa, fq = a_front[far], q_front[far]
             numer = np.einsum("ij,ij->i", wn_node[fq], dv[far])
-            np.add.at(s_node, fa, numer * _inv_r6(r2[far],
-                                                  params.approx_math))
+            np.add.at(s_node, fa, numer * inv_r6(r2[far], params.approx_math))
             np.add.at(far_by_anode, fa, 1.0)
             counts.far_evaluations += int(far.sum())
         rest = ~far
@@ -183,15 +182,14 @@ def born_radii_dualtree(molecule: Molecule,
         for u, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
             qsel = ranges_to_indices(q_tree.start[eq[lo:hi]],
                                      q_tree.end[eq[lo:hi]])
-            apts = atoms_tree.points[atoms_tree.slice_of(int(u))]
-            diff = q_tree.points[qsel][None, :, :] - apts[:, None, :]
-            r2 = np.einsum("aqk,aqk->aq", diff, diff)
-            numer = np.einsum("aqk,qk->aq", diff, wn_sorted[qsel])
-            s_atom[atoms_tree.start[int(u)]:atoms_tree.end[int(u)]] += \
-                np.sum(numer * _inv_r6(r2, params.approx_math), axis=1)
+            asl = atoms_tree.slice_of(int(u))
+            s_atom[asl] += born_integral_block(
+                atoms_tree.points[asl], q_tree.points[qsel],
+                wn_sorted[qsel], params.approx_math)
+            pairs = (asl.stop - asl.start) * len(qsel)
             counts.near_pair_blocks += hi - lo
-            counts.exact_interactions += diff.shape[0] * diff.shape[1]
-            exact_by_aleaf[int(u)] += diff.shape[0] * diff.shape[1]
+            counts.exact_interactions += pairs
+            exact_by_aleaf[int(u)] += pairs
 
     intrinsic_sorted = molecule.radii[atoms_tree.perm]
     radii_sorted = push_integrals_to_atoms(atoms_tree, s_node, s_atom,
@@ -278,15 +276,14 @@ def epol_dualtree(molecule: Molecule,
             usel = ranges_to_indices(atoms_tree.start[eu[lo:hi]],
                                      atoms_tree.end[eu[lo:hi]])
             vsl = atoms_tree.slice_of(int(v))
-            diff = pts[usel][:, None, :] - pts[vsl][None, :, :]
-            r2 = np.einsum("uvk,uvk->uv", diff, diff)
-            RiRj = R_sorted[usel][:, None] * R_sorted[vsl][None, :]
-            inv = inv_fgb_still(r2, RiRj, approx_math=params.approx_math)
-            total += float(np.einsum("u,uv,v->", q_sorted[usel], inv,
-                                     q_sorted[vsl]))
+            total += pair_energy_matrix(
+                pts[usel], q_sorted[usel], R_sorted[usel],
+                pts[vsl], q_sorted[vsl], R_sorted[vsl],
+                approx_math=params.approx_math)
+            pairs = len(usel) * (vsl.stop - vsl.start)
             counts.near_pair_blocks += hi - lo
-            counts.exact_interactions += diff.shape[0] * diff.shape[1]
-            exact_by_vleaf[int(v)] += diff.shape[0] * diff.shape[1]
+            counts.exact_interactions += pairs
+            exact_by_vleaf[int(v)] += pairs
 
     per_source = _per_leaf_counts(atoms_tree, far_by_unode, exact_by_vleaf)
     record_traversal_metrics("epol", counts, per_source)

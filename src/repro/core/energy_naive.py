@@ -1,8 +1,10 @@
 """Naive exact GB polarization energy — paper Eq. 2, O(M²).
 
-The reference against which all octree energies are scored.  Blocked
-row-panels keep temporaries at ``block × M`` while the kernel remains a
-single fused einsum per panel.
+The reference against which all octree energies are scored.  Each row
+panel ``[lo, hi)`` runs the shared kernel once on its diagonal block and
+once against the columns ``j ≥ hi`` with doubled charges: every
+unordered pair once, like the octree's near field.  Temporaries stay at
+``block × M``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import TAU_WATER
-from repro.core.gb import energy_prefactor, inv_fgb_still
+from repro.core.gb import energy_prefactor, pair_energy_matrix
 from repro.molecules.molecule import Molecule
 
 
@@ -47,9 +49,9 @@ def epol_naive(molecule: Molecule,
     total = 0.0
     for lo in range(0, m, block):
         hi = min(lo + block, m)
-        diff = pos[lo:hi, None, :] - pos[None, :, :]
-        r2 = np.einsum("bjk,bjk->bj", diff, diff)
-        RiRj = R[lo:hi, None] * R[None, :]
-        inv = inv_fgb_still(r2, RiRj, approx_math=approx_math)
-        total += float(np.einsum("b,bj,j->", q[lo:hi], inv, q))
+        panel = pos[lo:hi], q[lo:hi], R[lo:hi]
+        total += pair_energy_matrix(*panel, *panel, approx_math=approx_math)
+        total += pair_energy_matrix(pos[lo:hi], 2.0 * q[lo:hi], R[lo:hi],
+                                    pos[hi:], q[hi:], R[hi:],
+                                    approx_math=approx_math)
     return energy_prefactor(tau) * total

@@ -13,7 +13,9 @@ atoms octree with the whole tree: starting from the root,
 
 Driving every tree leaf ``V`` against the root covers each *ordered*
 atom pair exactly once, which is precisely Eq. 2's double sum (self
-pairs included via the ``U == V`` exact block).
+pairs included via the ``U == V`` exact block).  Eq. 2 is symmetric, so
+an exact block whose mirror is exact too is evaluated once, with
+doubled charges.
 
 As in :mod:`repro.core.born_octree`, the recursion is executed as a
 vectorised frontier of ``(U, V)`` index arrays.
@@ -29,11 +31,13 @@ import numpy as np
 from repro.config import ApproxParams
 from repro.constants import TAU_WATER
 from repro.core.born_octree import PerSourceCounts, TraversalCounts
-from repro.core.gb import energy_prefactor, inv_fgb_still
+from repro.core.gb import (energy_prefactor, inv_fgb_still,
+                           pair_energy_matrix)
 from repro.geomutil import ranges_to_indices
 from repro.obs import (
     record_bucket_metrics,
     record_traversal_metrics,
+    span,
     traced,
 )
 from repro.molecules.molecule import Molecule
@@ -176,18 +180,20 @@ def approx_epol_for_leaves(atoms_tree: Octree,
     exact_u: list = []
     exact_v: list = []
 
-    while len(u_front):
-        counts.frontier_visits += len(u_front)
-        pv_visits += np.bincount(v_front, minlength=nv)
-        leafmask = is_leaf[u_front]
-        if leafmask.any():
-            exact_u.append(u_front[leafmask])
-            exact_v.append(v_front[leafmask])
-        u_rest = u_front[~leafmask]
-        v_rest = v_front[~leafmask]
-        u_front = np.empty(0, dtype=np.int64)
-        v_front = np.empty(0, dtype=np.int64)
-        if len(u_rest):
+    with span("epol.traversal.far"):
+        while len(u_front):
+            counts.frontier_visits += len(u_front)
+            pv_visits += np.bincount(v_front, minlength=nv)
+            leafmask = is_leaf[u_front]
+            if leafmask.any():
+                exact_u.append(u_front[leafmask])
+                exact_v.append(v_front[leafmask])
+            u_rest = u_front[~leafmask]
+            v_rest = v_front[~leafmask]
+            u_front = np.empty(0, dtype=np.int64)
+            v_front = np.empty(0, dtype=np.int64)
+            if not len(u_rest):
+                continue
             dv = v_center[v_rest] - center[u_rest]
             r2 = np.einsum("ij,ij->i", dv, dv)
             r = np.sqrt(r2)
@@ -214,30 +220,43 @@ def approx_epol_for_leaves(atoms_tree: Octree,
                 u_front = ch[valid]
                 v_front = np.repeat(iv, valid.sum(axis=1))
 
-    # Exact leaf–leaf blocks, grouped by V so each group runs as one
-    # (gathered U atoms × V atoms) kernel.
+    # Exact leaf blocks (U = eu[i], V = leaf_ids[ev[i]]).  A block whose
+    # mirror (V, U) is exact in this call too runs once, as the pair with
+    # the lower U id, with U's charges doubled (exact in floating point);
+    # diagonal and one-way blocks run once as they are.  The counts still
+    # tally every ordered block and pair.
     if exact_u:
-        eu = np.concatenate(exact_u)
-        ev = np.concatenate(exact_v)
-        order = np.argsort(ev, kind="stable")
-        eu, ev = eu[order], ev[order]
-        pts = atoms_tree.points
-        uniq, first = np.unique(ev, return_index=True)
-        bounds = np.append(first, len(ev))
-        for vrow, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
-            vleaf = int(leaf_ids[vrow])
-            usel = ranges_to_indices(atoms_tree.start[eu[lo:hi]],
-                                     atoms_tree.end[eu[lo:hi]])
-            vsl = atoms_tree.slice_of(vleaf)
-            diff = pts[usel][:, None, :] - pts[vsl][None, :, :]
-            r2 = np.einsum("uvk,uvk->uv", diff, diff)
-            RiRj = born_sorted[usel][:, None] * born_sorted[vsl][None, :]
-            inv = inv_fgb_still(r2, RiRj, approx_math=params.approx_math)
-            total += float(np.einsum("u,uv,v->", charges_sorted[usel], inv,
-                                     charges_sorted[vsl]))
-            counts.near_pair_blocks += hi - lo
-            counts.exact_interactions += diff.shape[0] * diff.shape[1]
-            pv_exact[vrow] += diff.shape[0] * diff.shape[1]
+        with span("epol.traversal.near"):
+            eu, ev = np.concatenate(exact_u), np.concatenate(exact_v)
+            start, end = atoms_tree.start, atoms_tree.end
+            vn = leaf_ids[ev]
+            sizes = end - start
+            pairs = sizes[eu] * sizes[vn]
+            counts.near_pair_blocks += len(eu)
+            counts.exact_interactions += int(pairs.sum())
+            pv_exact += np.bincount(ev, weights=pairs,
+                                    minlength=nv).astype(np.int64)
+            nn = atoms_tree.nnodes
+            mutual = (eu != vn) & np.isin(vn * nn + eu, eu * nn + vn)
+            run = np.flatnonzero(~mutual | (eu < vn))
+            # Group by V so each group runs as one (V atoms × gathered U
+            # atoms) kernel; one take gathers the U atoms' x, y, z, q, R.
+            run = run[np.argsort(ev[run], kind="stable")]
+            eu, ev = eu[run], ev[run]
+            weight = np.where(mutual[run], 2.0, 1.0)
+            atoms = np.vstack([atoms_tree.points.T, charges_sorted,
+                               born_sorted])
+            uniq, first = np.unique(ev, return_index=True)
+            bounds = np.append(first, len(ev))
+            for vrow, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
+                us = eu[lo:hi]
+                u = np.take(atoms, ranges_to_indices(start[us], end[us]),
+                            axis=1)
+                u[3] *= np.repeat(weight[lo:hi], sizes[us])
+                v = atoms[:, atoms_tree.slice_of(int(leaf_ids[vrow]))]
+                total += pair_energy_matrix(
+                    u[:3].T, u[3], u[4], v[:3].T, v[3], v[4],
+                    approx_math=params.approx_math)
 
     return total, counts, per_source
 

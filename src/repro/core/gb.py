@@ -16,9 +16,15 @@ constant in kcal·Å/(mol·e²).
 is reproduced with genuinely lower-precision kernels: a bit-trick
 reciprocal square root with one Newton step and a (1 + x/64)⁶⁴
 exponential.
+
+It also holds the only two exact block kernels, one per phase, which
+every solver shares: :func:`pair_energy_matrix` and
+:func:`born_integral_block` (docs/ALGORITHMS.md §9).
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -85,17 +91,86 @@ def energy_prefactor(tau: float = TAU_WATER) -> float:
     return -0.5 * tau * COULOMB_KCAL
 
 
+def _rows(pos: np.ndarray) -> np.ndarray:
+    """``(n, 3)`` coordinates as contiguous ``(3, n)`` rows (no copy when
+    the caller holds rows already and passes ``rows.T``)."""
+    return np.ascontiguousarray(np.asarray(pos, dtype=np.float64).T)
+
+
 def pair_energy_matrix(pos_i: np.ndarray, q_i: np.ndarray, R_i: np.ndarray,
                        pos_j: np.ndarray, q_j: np.ndarray, R_j: np.ndarray,
                        approx_math: bool = False) -> float:
     """Exact Σ_{a∈i, b∈j} q_a q_b / f_GB(a, b) for two atom blocks.
 
     Returns the raw (unprefixed) double sum; callers apply
-    :func:`energy_prefactor`.  This is the leaf–leaf kernel of the
-    octree energy solver and the inner block of the naive solver.
+    :func:`energy_prefactor`.  The sum is symmetric, so the longer block
+    is the contiguous inner axis of ``(short, long)`` work arrays filled
+    one coordinate row at a time, in place.  Each ``1/f_GB`` term is
+    :func:`inv_fgb_still`'s arithmetic (scaling by −4 and −¼ is exact).
     """
-    diff = pos_i[:, None, :] - pos_j[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
-    RiRj = R_i[:, None] * R_j[None, :]
-    inv = inv_fgb_still(r2, RiRj, approx_math=approx_math)
+    if len(q_i) > len(q_j):
+        pos_i, q_i, R_i, pos_j, q_j, R_j = pos_j, q_j, R_j, pos_i, q_i, R_i
+    xi, xj = _rows(pos_i), _rows(pos_j)
+    r2 = np.subtract.outer(xi[0], xj[0])
+    r2 *= r2
+    d = np.empty_like(r2)
+    for k in (1, 2):
+        np.subtract.outer(xi[k], xj[k], out=d)
+        d *= d
+        r2 += d
+    if approx_math:
+        inv = inv_fgb_still(r2, np.multiply.outer(R_i, R_j, out=d),
+                            approx_math=True)
+    else:
+        m4rr = np.multiply.outer(-4.0 * np.asarray(R_i), R_j)
+        np.divide(r2, m4rr, out=d)               # −r²/(4 R_i R_j)
+        np.exp(d, out=d)
+        d *= m4rr
+        d *= -0.25                               # R_i R_j e^(…)
+        d += r2
+        np.sqrt(d, out=d)
+        inv = np.divide(1.0, d, out=d)
+    # einsum, not BLAS: a threaded gemv would sum in an order that
+    # depends on how many threads are busy.
     return float(np.einsum("i,ij,j->", q_i, inv, q_j))
+
+
+def inv_r6(r2: np.ndarray, approx_math: bool = False) -> np.ndarray:
+    """``1 / max(r², 10⁻³⁰)³``, the r⁶ Born integrand's distance factor."""
+    t = np.maximum(r2, 1e-30)
+    if approx_math:
+        y = fast_rsqrt(t)
+        p = y * y
+        return p * p * p
+    c = t * t
+    c *= t
+    return np.divide(1.0, c, out=c)
+
+
+def born_integral_block(atoms: np.ndarray, points: np.ndarray,
+                        weighted_normals: np.ndarray,
+                        approx_math: bool = False, power: int = 6,
+                        coincident: Optional[np.ndarray] = None
+                        ) -> np.ndarray:
+    """Exact ``s_a = Σ_q (p_q − x_a)·w_q n_q / |p_q − x_a|^power`` per atom
+    (Eq. 4, or Eq. 3 for ``power=4`` with exact math).
+
+    The ``(atoms, points)`` work arrays keep the points contiguous and
+    are filled one coordinate row at a time.  ``coincident``, if given,
+    gets an entry set for each atom sitting exactly on a point, where
+    the integrand is singular (the kernel clamps ``r²`` at 10⁻³⁰).
+    """
+    x, p, w = _rows(atoms), _rows(points), _rows(weighted_normals)
+    d = np.subtract(p[0], x[0][:, None])
+    r2 = d * d
+    numer = d * w[0]
+    for k in (1, 2):
+        np.subtract(p[k], x[k][:, None], out=d)
+        r2 += d * d
+        d *= w[k]
+        numer += d
+    if coincident is not None:
+        np.any(r2 == 0.0, axis=1, out=coincident)
+    inv = (inv_r6(r2, approx_math) if power == 6
+           else 1.0 / np.maximum(r2, 1e-30) ** 2)
+    return np.einsum("aq,aq->a", numer, inv)

@@ -1,135 +1,14 @@
-"""Small geometric utilities shared across subpackages.
-
-The central tool is :class:`UniformCellGrid`, a classic uniform spatial
-hash used (a) by the surface sampler to cull buried quadrature points
-and (b) by the baseline emulators to build cutoff nonbonded lists.  It
-is intentionally simple — the *octree* is the paper's contribution; the
-cell grid is the commodity substrate the comparison packages use.
+"""Small geometric utilities shared across subpackages: the
+``ranges_to_indices`` gather primitive of the octree leaf kernels and
+the surface culling, enclosing-ball radii, and the icosphere the surface
+sampler triangulates each atom sphere with.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
-
-
-class UniformCellGrid:
-    """Uniform hash grid over a set of 3-D points.
-
-    Parameters
-    ----------
-    points:
-        ``(n, 3)`` positions.
-    cell_size:
-        Edge length of a cubic cell.  Queries with radius ≤ ``cell_size``
-        only need the 27 surrounding cells; larger radii scan a larger
-        cube of cells.
-    """
-
-    def __init__(self, points: np.ndarray, cell_size: float) -> None:
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValueError("points must have shape (n, 3)")
-        if cell_size <= 0:
-            raise ValueError("cell_size must be positive")
-        self.points = points
-        self.cell_size = float(cell_size)
-        self.origin = points.min(axis=0) if len(points) else np.zeros(3)
-        ijk = np.floor((points - self.origin) / self.cell_size).astype(np.int64)
-        self.dims = ijk.max(axis=0) + 1 if len(points) else np.ones(3, np.int64)
-        self._cell_of = self._flatten(ijk)
-        order = np.argsort(self._cell_of, kind="stable")
-        self._order = order
-        sorted_cells = self._cell_of[order]
-        # start offsets of each occupied cell in the sorted permutation
-        self._unique_cells, self._starts = np.unique(sorted_cells,
-                                                     return_index=True)
-        self._ends = np.append(self._starts[1:], len(sorted_cells))
-
-    def _flatten(self, ijk: np.ndarray) -> np.ndarray:
-        d = self.dims
-        return (ijk[..., 0] * d[1] + ijk[..., 1]) * d[2] + ijk[..., 2]
-
-    def _members(self, flat_cell: int) -> np.ndarray:
-        pos = np.searchsorted(self._unique_cells, flat_cell)
-        if pos >= len(self._unique_cells) or self._unique_cells[pos] != flat_cell:
-            return np.empty(0, dtype=np.int64)
-        return self._order[self._starts[pos]:self._ends[pos]]
-
-    def query_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of points within ``radius`` of ``center``."""
-        center = np.asarray(center, dtype=np.float64)
-        reach = int(np.ceil(radius / self.cell_size))
-        c = np.floor((center - self.origin) / self.cell_size).astype(np.int64)
-        lo = np.maximum(c - reach, 0)
-        hi = np.minimum(c + reach, self.dims - 1)
-        cand = []
-        for i in range(lo[0], hi[0] + 1):
-            for j in range(lo[1], hi[1] + 1):
-                for k in range(lo[2], hi[2] + 1):
-                    flat = (i * self.dims[1] + j) * self.dims[2] + k
-                    m = self._members(flat)
-                    if len(m):
-                        cand.append(m)
-        if not cand:
-            return np.empty(0, dtype=np.int64)
-        idx = np.concatenate(cand)
-        d2 = np.sum((self.points[idx] - center) ** 2, axis=1)
-        return idx[d2 <= radius * radius]
-
-    def neighbor_pairs(self, cutoff: float,
-                       chunk: int = 65536) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(i, j)`` index-array chunks of pairs with ``|p_i−p_j| ≤ cutoff``.
-
-        Pairs are emitted once with ``i < j``.  Memory stays bounded by
-        ``chunk`` pairs per yielded block.
-        """
-        if cutoff <= 0:
-            return
-        reach = int(np.ceil(cutoff / self.cell_size))
-        offsets = [(di, dj, dk)
-                   for di in range(-reach, reach + 1)
-                   for dj in range(-reach, reach + 1)
-                   for dk in range(-reach, reach + 1)]
-        cut2 = cutoff * cutoff
-        buf_i, buf_j, buffered = [], [], 0
-        ijk_all = np.floor((self.points - self.origin) / self.cell_size
-                           ).astype(np.int64)
-        for pos, flat in enumerate(self._unique_cells):
-            a = self._order[self._starts[pos]:self._ends[pos]]
-            base = ijk_all[a[0]]
-            for off in offsets:
-                nb = base + np.array(off, dtype=np.int64)
-                if np.any(nb < 0) or np.any(nb >= self.dims):
-                    continue
-                nflat = (nb[0] * self.dims[1] + nb[1]) * self.dims[2] + nb[2]
-                if nflat < flat:
-                    continue  # each cell pair visited once
-                b = self._members(nflat)
-                if not len(b):
-                    continue
-                ii, jj = np.meshgrid(a, b, indexing="ij")
-                ii, jj = ii.ravel(), jj.ravel()
-                if nflat == flat:
-                    keep = ii < jj
-                else:
-                    keep = np.ones(len(ii), dtype=bool)
-                d2 = np.sum((self.points[ii[keep]] - self.points[jj[keep]]) ** 2,
-                            axis=1)
-                sel = d2 <= cut2
-                gi, gj = ii[keep][sel], jj[keep][sel]
-                # Cell ids do not order point ids; normalise to i < j.
-                gi, gj = np.minimum(gi, gj), np.maximum(gi, gj)
-                if len(gi):
-                    buf_i.append(gi)
-                    buf_j.append(gj)
-                    buffered += len(gi)
-                    if buffered >= chunk:
-                        yield np.concatenate(buf_i), np.concatenate(buf_j)
-                        buf_i, buf_j, buffered = [], [], 0
-        if buffered:
-            yield np.concatenate(buf_i), np.concatenate(buf_j)
 
 
 def ranges_to_indices(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

@@ -23,8 +23,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.config import ApproxParams
-from repro.core.born_naive import integral_to_radius_r6
-from repro.guard.errors import DegenerateGeometryError, WatchdogBreachError
+from repro.core.born_naive import integral_to_radius_r6, surface_integrals
+from repro.guard.errors import WatchdogBreachError
 from repro.molecules.molecule import Molecule
 
 __all__ = ["WatchdogReport", "born_tolerance", "exact_born_subset",
@@ -63,22 +63,11 @@ def exact_born_subset(molecule: Molecule,
     """Exact (Eq. 4) r⁶ Born radii for the atoms in ``idx``.
 
     Identical arithmetic to :func:`repro.core.born_naive.
-    born_radii_naive_r6` restricted to the subset rows.
+    born_radii_naive_r6` restricted to the subset rows: both call
+    :func:`repro.core.born_naive.surface_integrals`.
     """
-    surf = molecule.require_surface()
-    pos = molecule.positions[idx]
-    diff = surf.points[None, :, :] - pos[:, None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
-        r2 = np.einsum("bnk,bnk->bn", diff, diff)
-        if np.any(r2 == 0.0):
-            atom_rows = np.flatnonzero((r2 == 0.0).any(axis=1))
-            raise DegenerateGeometryError(
-                "a quadrature point coincides with an atom centre; the "
-                "surface integrand is singular there",
-                phase="watchdog", indices=idx[atom_rows],
-                hint="run repro doctor on this molecule")
-        numer = np.einsum("bnk,nk->bn", diff, surf.weighted_normals)
-        s = np.sum(numer / r2 ** 3, axis=1)
+        s = surface_integrals(molecule, atoms=idx, phase="watchdog")
     return integral_to_radius_r6(s, molecule.radii[idx])
 
 

@@ -8,6 +8,8 @@ spheres (the van der Waals / solvent-excluded surface for probe radius
 0): every atom sphere is triangulated by an icosphere, Dunavant
 quadrature points are placed on each spherical triangle, and points
 buried inside any other atom are culled together with their weights.
+Overlapping spheres are found by a sorted-cell search (see
+docs/ALGORITHMS.md §9).
 
 For a closed sphere the weights sum to ``4πr²`` by construction, which
 gives the library its sharpest correctness test: a single isolated atom
@@ -17,12 +19,55 @@ of radius R must come back from the r⁶ solver with Born radius exactly R
 
 from __future__ import annotations
 
+import itertools
+from typing import Iterator, Tuple
+
 import numpy as np
 
-from repro.geomutil import UniformCellGrid, icosphere
+from repro.geomutil import icosphere, ranges_to_indices
 from repro.obs import traced
 from repro.molecules.molecule import Molecule, SurfaceSamples
 from repro.molecules.quadrature import dunavant_rule
+
+
+#: The cell itself and 13 of its 26 neighbours, one of each opposite
+#: pair: every unordered pair of adjacent cells lies along one offset.
+_HALF_SPACE = np.array([o for o in itertools.product((-1, 0, 1), repeat=3)
+                        if o >= (0, 0, 0)], dtype=np.int64)
+
+_PAIR_CHUNK = 16384  # candidate atom pairs per culling pass (memory)
+
+
+def _cell_pairs(centers: np.ndarray, cell: float
+                ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(i, j)`` chunks of the atom pairs that share a grid cell of
+    edge ``cell`` or sit in adjacent cells, each pair once: atoms sorted
+    by cell id, partner cells found by ``searchsorted``."""
+    # Cell coordinates from 1, so a neighbour offset never wraps a row.
+    ijk = np.floor((centers - centers.min(axis=0)) / cell).astype(np.int64) + 1
+    dims = ijk.max(axis=0) + 2
+    flat = (ijk[:, 0] * dims[1] + ijk[:, 1]) * dims[2] + ijk[:, 2]
+    order = np.argsort(flat, kind="stable")
+    cells = flat[order]
+    steps = (_HALF_SPACE[:, 0] * dims[1] + _HALF_SPACE[:, 1]) * dims[2] \
+        + _HALF_SPACE[:, 2]
+    lo = np.searchsorted(cells, cells[:, None] + steps, side="left")
+    hi = np.searchsorted(cells, cells[:, None] + steps, side="right")
+    lo[:, 0] = np.arange(1, len(cells) + 1)  # own cell: later atoms only
+    per_atom = (hi - lo).sum(axis=1)
+    cum = np.cumsum(per_atom)
+    cuts = np.searchsorted(cum, np.arange(_PAIR_CHUNK, cum[-1], _PAIR_CHUNK))
+    for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(cells)]):
+        if a < b:
+            i = np.repeat(order[a:b], per_atom[a:b])
+            yield i, order[ranges_to_indices(lo[a:b].ravel(),
+                                             hi[a:b].ravel())]
+
+
+def _sq_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared distances between coordinate rows ``x`` and ``y``, summed
+    x, y, z left to right: ``np.sum``'s order, so culling stays bitwise."""
+    return (x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2 + (x[2] - y[2]) ** 2
 
 
 def _unit_sphere_samples(subdivisions: int, degree: int):
@@ -82,35 +127,24 @@ def sample_surface(molecule: Molecule,
     radii = molecule.radii + probe_radius
     m = molecule.natoms
 
-    # All candidate samples: (m, k, 3) → flattened.
-    pts = centers[:, None, :] + radii[:, None, None] * unit_pts[None, :, :]
-    normals = np.broadcast_to(unit_pts[None, :, :], (m, k, 3))
-    weights = radii[:, None] ** 2 * unit_w[None, :]
-
-    pts = pts.reshape(-1, 3)
-    normals = normals.reshape(-1, 3).copy()
-    weights = weights.reshape(-1)
-
-    keep = np.ones(len(pts), dtype=bool)
-    sample_ids = np.arange(k, dtype=np.int64)
+    # Candidate sample s of atom a, as (3, m, k) coordinate rows.
+    pts = centers.T[:, :, None] + radii[:, None] * unit_pts.T[:, None, :]
+    keep = np.ones((m, k), dtype=bool)
     if m > 1:
-        rmax = float(radii.max())
-        grid = UniformCellGrid(centers, cell_size=max(2.0 * rmax, 1e-6))
-        for ii, jj in grid.neighbor_pairs(cutoff=2.0 * rmax):
+        cutoff = 2.0 * float(radii.max())
+        for ii, jj in _cell_pairs(centers, max(cutoff, 1e-6)):
             # Only overlapping sphere pairs can bury each other's samples.
-            d = np.linalg.norm(centers[ii] - centers[jj], axis=1)
-            close = d < radii[ii] + radii[jj]
-            for a, b in ((ii[close], jj[close]), (jj[close], ii[close])):
-                if not len(a):
-                    continue
-                # Cull samples of atoms `a` that fall inside spheres `b`,
-                # one vectorised block: (npairs, k) sample indices.
-                idx = a[:, None] * k + sample_ids[None, :]
-                d2 = np.sum((pts[idx] - centers[b][:, None, :]) ** 2, axis=2)
-                buried = d2 < (radii[b][:, None] - cull_tolerance) ** 2
-                # An atom may appear in several pairs: accumulate with
-                # logical_and.at so every pair's verdict is applied.
-                np.logical_and.at(keep, idx.ravel(), ~buried.ravel())
+            d2 = _sq_dist(centers[ii].T, centers[jj].T)
+            close = (d2 <= cutoff * cutoff) & (np.sqrt(d2)
+                                               < radii[ii] + radii[jj])
+            a = np.concatenate([ii[close], jj[close]])
+            b = np.concatenate([jj[close], ii[close]])
+            # Cull samples of atoms `a` that fall inside spheres `b`,
+            # one vectorised (npairs, k) block.
+            d2 = _sq_dist(pts[:, a], centers[b].T[:, :, None])
+            hit, sample = np.nonzero(
+                d2 < (radii[b][:, None] - cull_tolerance) ** 2)
+            keep[a[hit], sample] = False
 
     if not keep.any():
         from repro.guard.errors import DegenerateGeometryError
@@ -120,7 +154,10 @@ def sample_surface(molecule: Molecule,
             phase="sample_surface",
             hint="run repro doctor — atoms likely coincide or nest")
 
-    surface = SurfaceSamples(pts[keep], normals[keep], weights[keep])
+    atom, sample = np.nonzero(keep)
+    surface = SurfaceSamples(np.ascontiguousarray(pts[:, atom, sample].T),
+                             unit_pts[sample],
+                             radii[atom] ** 2 * unit_w[sample])
     out = molecule.with_surface(surface)
     return out
 

@@ -44,13 +44,13 @@ from repro.config import ApproxParams
 from repro.constants import TAU_WATER
 from repro.core.born_octree import (
     _born_far_mask,
-    _inv_r6,
     approx_integrals,
     push_integrals_to_atoms,
     qleaf_aggregates,
 )
 from repro.core.energy_octree import approx_epol_for_leaves
-from repro.core.gb import energy_prefactor, inv_fgb_still
+from repro.core.gb import (born_integral_block, energy_prefactor,
+                           inv_fgb_still, inv_r6, pair_energy_matrix)
 from repro.molecules.molecule import Molecule
 from repro.octree import morton
 from repro.octree.build import NO_CHILD, Octree, build_octree
@@ -155,7 +155,7 @@ def _classify_remote_qleaves(atoms_tree: Octree,
             fa, fq = a_front[far], q_front[far]
             numer = np.einsum("ij,ij->i", summaries.wn[fq], dv[far])
             s_node += np.bincount(fa,
-                                  weights=numer * _inv_r6(
+                                  weights=numer * inv_r6(
                                       r2[far], params.approx_math),
                                   minlength=atoms_tree.nnodes)
         rest = ~far
@@ -192,13 +192,9 @@ def _exact_remote_born(atoms_tree: Octree, s_atom: np.ndarray,
         pts = np.vstack([ghost_pts[int(rw)] for rw in rows])
         wn = np.vstack([ghost_wn[int(rw)] for rw in rows])
         sl = atoms_tree.slice_of(int(u))
-        apts = atoms_tree.points[sl]
-        diff = pts[None, :, :] - apts[:, None, :]
-        r2 = np.einsum("aqk,aqk->aq", diff, diff)
-        numer = np.einsum("aqk,qk->aq", diff, wn)
-        s_atom[sl] += np.sum(numer * _inv_r6(r2, params.approx_math),
-                             axis=1)
-        interactions += diff.shape[0] * diff.shape[1]
+        s_atom[sl] += born_integral_block(atoms_tree.points[sl], pts, wn,
+                                          params.approx_math)
+        interactions += (sl.stop - sl.start) * len(pts)
     return interactions
 
 
@@ -498,13 +494,10 @@ def run_data_distributed(molecule: Molecule,
             for vleaf_row, unode in need_atoms[s]:
                 gp, gq, gR = payload[unode]
                 vsl = atoms_tree.slice_of(int(atoms_tree.leaves[vleaf_row]))
-                diff = atoms_tree.points[vsl][:, None, :] - gp[None, :, :]
-                r2 = np.einsum("vuk,vuk->vu", diff, diff)
-                RiRj = R_sorted[vsl][:, None] * gR[None, :]
-                inv = inv_fgb_still(r2, RiRj,
-                                    approx_math=params.approx_math)
-                raw += float(np.einsum("v,vu,u->", q_sorted[vsl], inv, gq))
-                inter += diff.shape[0] * diff.shape[1]
+                raw += pair_energy_matrix(
+                    atoms_tree.points[vsl], q_sorted[vsl], R_sorted[vsl],
+                    gp, gq, gR, approx_math=params.approx_math)
+                inter += (vsl.stop - vsl.start) * len(gp)
             comm.compute(cost.epol_compute_seconds(0, 0, inter, m_eps,
                                                    params.approx_math))
 

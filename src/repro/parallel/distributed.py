@@ -36,6 +36,7 @@ from repro.cluster.trace import PhaseSlice, RankStats, RunStats
 from repro.config import ApproxParams
 from repro.constants import TAU_WATER
 from repro.core.born_octree import (
+    TraversalCounts,
     approx_integrals,
     push_integrals_to_atoms,
 )
@@ -318,6 +319,9 @@ def run_fig4_ft(molecule: Molecule,
         atom_owner = atom_owner0.copy()
         v_owner = v_owner0.copy()
         owners = (q_owner, atom_owner, v_owner)
+        # The V leaves one energy traversal covers: a rank's segment,
+        # or the share of a dead rank's leaves it took over at an epoch.
+        v_unit = v_owner0.copy()
 
         def on_fault(exc: FaultError) -> None:
             """Shrink to the survivors and take over the dead's blocks."""
@@ -326,8 +330,11 @@ def run_fig4_ft(molecule: Molecule,
             info = comm.shrink()
             if not info.newly_dead:
                 raise exc          # timeout/divergence, not a death
+            before = v_owner.copy()
             for owner in owners:
                 _reassign_lost(owner, info.newly_dead, info.alive)
+            moved = v_owner != before
+            v_unit[moved] = info.epoch * processes + v_owner[moved]
 
         # -- Phase 1: APPROX-INTEGRALS + Allreduce (ckpt "integrals") --
         s_node_acc = np.zeros(nnodes, dtype=np.float64)
@@ -403,16 +410,22 @@ def run_fig4_ft(molecule: Molecule,
         # -- Phase 3: partial energies + Reduce + result Bcast ---------
         buckets = build_charge_buckets(atoms_tree, q_sorted, radii_full,
                                        params.eps_epol)
-        raw_acc = 0.0
+        # One traversal per unit, summed in unit order: thread timing
+        # decides whether a survivor folded its own segment before it
+        # saw a death, and the exact blocks depend on a call's leaves.
+        raw_unit: Dict[int, float] = {}
         v_folded = np.zeros(n_vleaves, dtype=bool)
         attempt = 0
         while True:
             try:
                 mine = np.flatnonzero((v_owner == comm.rank) & ~v_folded)
-                if mine.size:
-                    raw, cnt2, _ = approx_epol_for_leaves(
+                cnt2 = TraversalCounts()
+                for unit in np.unique(v_unit[mine]):
+                    raw_unit[unit], cnt, _ = approx_epol_for_leaves(
                         atoms_tree, q_sorted, radii_full, buckets, params,
-                        v_leaf_subset=mine)
+                        v_leaf_subset=mine[v_unit[mine] == unit])
+                    cnt2 = cnt2.merged(cnt)
+                if mine.size:
                     comm.compute(
                         cost.epol_compute_seconds(
                             cnt2.frontier_visits, cnt2.far_evaluations,
@@ -420,9 +433,9 @@ def run_fig4_ft(molecule: Molecule,
                             params.approx_math),
                         label="epol" if attempt == 0 else "epol.recovery",
                         recovery=attempt > 0)
-                    raw_acc += raw
                     v_folded[mine] = True
-                total_raw = comm.reduce(raw_acc, root=0)
+                total_raw = comm.reduce(
+                    sum(raw_unit[u] for u in sorted(raw_unit)), root=0)
                 energy = (energy_prefactor(tau) * total_raw
                           if total_raw is not None else None)
                 # Master may have died: reduce/bcast fail over to the

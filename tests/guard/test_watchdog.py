@@ -75,3 +75,21 @@ def test_corruption_off_the_sampled_subset_is_missed(mol):
     victim = next(i for i in range(mol.natoms) if i not in sampled)
     radii[victim] *= 7.0
     assert check_born_subset(mol, radii, params, seed=0).ok
+
+
+def test_coincident_quadrature_point_is_degenerate_in_both_paths():
+    from repro.guard.errors import DegenerateGeometryError
+    from repro.molecules.molecule import Molecule, SurfaceSamples
+
+    mol = Molecule(np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]]),
+                   np.array([1.0, -1.0]), np.array([1.5, 1.5]))
+    mol = mol.with_surface(SurfaceSamples(
+        np.array([[1.5, 0.0, 0.0], [5.0, 0.0, 0.0]]),
+        np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), np.ones(2)))
+    with pytest.raises(DegenerateGeometryError) as naive:
+        born_radii_naive_r6(mol)
+    assert (naive.value.phase, naive.value.indices) == ("born", (1,))
+    with pytest.raises(DegenerateGeometryError) as spot:
+        exact_born_subset(mol, np.array([1]))
+    assert (spot.value.phase, spot.value.indices) == ("watchdog", (1,))
+    assert np.isfinite(exact_born_subset(mol, np.array([0])))[0]

@@ -40,6 +40,19 @@ def test_solver_records_all_five_phases(observed):
     assert all(t > 0.0 for t in times.values())
 
 
+def test_traversals_split_into_far_and_near_spans(observed):
+    PolarizationSolver(synthetic_protein(300, seed=3), PARAMS).energy()
+    spans = {ev["args"]["span_id"]: ev for ev in obs.get_tracer().events()
+             if ev["ph"] == "X"}
+    for parent in ("born.approx_integrals", "epol.traversal"):
+        for part in ("far", "near"):
+            subs = [ev for ev in spans.values()
+                    if ev["name"] == f"{parent}.{part}"]
+            assert subs, f"no {parent}.{part} span"
+            assert all(spans[ev["args"]["parent_id"]]["name"] == parent
+                       for ev in subs)
+
+
 def test_traversal_metrics_populated(observed, protein_small):
     PolarizationSolver(protein_small, PARAMS).energy()
     snap = obs.registry.collect()

@@ -28,6 +28,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "E_pol" in out and "% difference" in out
 
+    def test_solve_trace_has_far_and_near_spans(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "t.json"
+        assert main(["solve", "--atoms", "200", "--trace", str(path)]) == 0
+        assert "simulated schedule" in capsys.readouterr().out
+        names = {ev["name"] for ev in json.loads(path.read_text())[
+            "traceEvents"]}
+        assert {"born.approx_integrals.far", "born.approx_integrals.near",
+                "epol.traversal.far", "epol.traversal.near"} <= names
+
     def test_solve_naive_method(self, capsys):
         assert main(["solve", "--atoms", "250", "--method",
                      "naive"]) == 0

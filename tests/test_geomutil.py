@@ -6,50 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geomutil import (
-    UniformCellGrid,
     enclosing_ball_radius,
     icosphere,
     ranges_to_indices,
     unit_icosahedron,
 )
-
-
-class TestUniformCellGrid:
-    @pytest.fixture(scope="class")
-    def cloud(self):
-        rng = np.random.default_rng(3)
-        return rng.uniform(-10, 10, size=(300, 3))
-
-    def test_query_ball_matches_bruteforce(self, cloud):
-        grid = UniformCellGrid(cloud, cell_size=4.0)
-        for center in (np.zeros(3), cloud[17], np.array([9.0, -9.0, 3.0])):
-            for radius in (1.0, 3.5, 7.0):
-                got = np.sort(grid.query_ball(center, radius))
-                d = np.linalg.norm(cloud - center, axis=1)
-                want = np.flatnonzero(d <= radius)
-                assert np.array_equal(got, want)
-
-    def test_neighbor_pairs_match_bruteforce(self, cloud):
-        cutoff = 3.0
-        grid = UniformCellGrid(cloud, cell_size=cutoff)
-        pairs = set()
-        for ii, jj in grid.neighbor_pairs(cutoff):
-            for a, b in zip(ii, jj):
-                assert a < b
-                key = (int(a), int(b))
-                assert key not in pairs, "pair emitted twice"
-                pairs.add(key)
-        diff = cloud[:, None, :] - cloud[None, :, :]
-        d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        want = {(i, j) for i in range(len(cloud))
-                for j in range(i + 1, len(cloud)) if d[i, j] <= cutoff}
-        assert pairs == want
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            UniformCellGrid(np.zeros((3, 2)), 1.0)
-        with pytest.raises(ValueError):
-            UniformCellGrid(np.zeros((3, 3)), 0.0)
 
 
 class TestRangesToIndices:
