@@ -319,21 +319,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         # lock is wrapped (factories consult the active witness at
         # construction time).
         witness = lockwitness.install(lockwitness.LockWitness())
-    if args.serve:
-        from repro.faults import servechaos
-        report = servechaos.run_serve_chaos(
-            seed=args.seed, atoms=args.atoms, quick=args.quick,
-            workers=args.workers)
-    elif args.fleet:
-        from repro.faults import fleetchaos
-        report = fleetchaos.run_fleet_chaos(
-            seed=args.seed, atoms=args.atoms, quick=args.quick)
-    else:
-        from repro.faults import chaos
-        report = chaos.run_chaos(seed=args.seed,
-                                 processes=args.processes,
-                                 atoms=args.atoms, quick=args.quick,
-                                 tolerance=args.tolerance)
+    from repro.faults.chaos import run_chaos
+    tier = "serve" if args.serve else "fleet" if args.fleet else "cluster"
+    report = run_chaos(tier, seed=args.seed, processes=args.processes,
+                       atoms=args.atoms, quick=args.quick,
+                       workers=args.workers, tolerance=args.tolerance)
     print(report.table())
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -371,7 +361,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
               f"same-seed determinism")
     else:
         print(f"all {len(report.results)} scenarios recovered within "
-              f"{report.tolerance:g} of E_pol = {report.ref_energy:.6f}")
+              f"{report.header['tolerance']:g} of E_pol = "
+              f"{report.header['ref_energy']:.6f}")
     return 1 if cyclic else 0
 
 

@@ -13,20 +13,21 @@ Three layers (see ``docs/ROBUSTNESS.md`` for the full model):
   that runs the fault-tolerant Fig. 4 solver under each fault class
   and asserts energy agreement with the fault-free run (exposed as
   ``repro chaos``).  Imported lazily (``from repro.faults import
-  chaos``) because it pulls in the distributed drivers.
+  chaos``) because it pulls in the distributed drivers and the serve
+  and fleet stacks.
 
 The same discipline reaches the serve tier: a
 :class:`ServeFaultPlan` (worker crashes, stragglers, disk faults,
 cache poison — all seeded and keyed on deterministic serve-side
 state) is consumed by :class:`repro.serve.service.SolveService`, and
-:mod:`repro.faults.servechaos` (also lazy — it pulls in the serve
-stack) runs the ``repro chaos --serve`` scenario matrix.
+:mod:`repro.faults.chaos` runs the ``repro chaos --serve`` scenario
+matrix over it.
 
 One level further up, a :class:`FleetFaultPlan` (``ShardCrash`` /
 ``ShardStall`` / ``RouterPartition``, keyed on per-shard dispatch
 sequence numbers) drives the sharded fleet of
-:mod:`repro.fleet`, and :mod:`repro.faults.fleetchaos` (lazy) runs
-the ``repro chaos --fleet`` matrix — shard deaths, stalled-shard
+:mod:`repro.fleet`, and the same module runs the
+``repro chaos --fleet`` matrix — shard deaths, stalled-shard
 quarantine, live rebalancing and overload shedding, all asserting
 bitwise energy parity against fault-free twins.
 """

@@ -22,7 +22,7 @@ Fault injection comes from
 :class:`~repro.faults.plan.FleetFaultPlan` (``ShardCrash`` /
 ``ShardStall`` / ``RouterPartition``), keyed on per-shard dispatch
 sequence numbers — never wall clock — and exercised end-to-end by
-``repro chaos --fleet`` (see :mod:`repro.faults.fleetchaos` and
+``repro chaos --fleet`` (see :mod:`repro.faults.chaos` and
 ``docs/ROBUSTNESS.md``).
 """
 

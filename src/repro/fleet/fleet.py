@@ -1,7 +1,7 @@
 """`ShardedFleet` — shards + router + supervisor in one handle.
 
 The convenience composition the CLI (``repro serve --shards N``), the
-chaos matrix (``repro chaos --fleet``) and the scale-out benchmark
+fleet chaos matrix (:mod:`repro.faults.chaos`) and the layer ledger
 build: N shards over one shared ``cache_dir`` (the disk tier is the
 fleet-wide warm layer), one :class:`ShardRouter` front door, and an
 optional :class:`FleetSupervisor`.

@@ -43,7 +43,7 @@ its hot lock (RPR202) and callbacks never see it held.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import repro.obs as obs
 from repro.faults.plan import FleetFaultPlan
@@ -419,6 +419,22 @@ class ShardRouter:
 
     # -- failover / rebalancing --------------------------------------------
 
+    def _revoke(self, victims: List[Tuple[object, _Entry]],
+                reason: str) -> List[_Entry]:
+        """Cancel every ``(shard, entry)`` victim; returns, oldest
+        first, the entries whose cancel won.
+
+        Every victim is revoked before any is re-dispatched, newest
+        first: cancelling the oldest entry — the hold a shard's worker
+        is stalled on — frees that worker, which must then find the
+        rest of its queue already revoked.  A lost cancel means the
+        shard delivered (or is a breath from delivering) a genuine
+        result; its on_done callback resolves the fleet ticket.
+        """
+        won = [entry for shard, entry in reversed(victims)
+               if shard.cancel(entry.ticket.key, reason)]
+        return won[::-1]
+
     def _revoke_and_reroute(self, sid: int, reason: str) -> int:
         """Cancel every unresolved entry on ``sid``; re-dispatch the
         ones whose cancel won (exactly-once: a result that landed
@@ -426,16 +442,10 @@ class ShardRouter:
         count."""
         shard = self._shards[sid]
         with self._lock:
-            victims = [e for e in self._entries.values()
+            victims = [(shard, e) for e in self._entries.values()
                        if e.shard == sid and not e.ticket.done()]
         moves = 0
-        for entry in victims:
-            won = shard.cancel(entry.ticket.key, reason)
-            if not won:
-                # The shard delivered (or is a breath from delivering)
-                # a genuine result; its on_done callback resolves the
-                # fleet ticket.
-                continue
+        for entry in self._revoke(victims, reason):
             if not self._budget_move(entry):
                 continue
             moves += 1
@@ -493,7 +503,8 @@ class ShardRouter:
             self._seq.setdefault(sid, 0)
             self._ring.add(sid)
             self._update_gauges()
-            moved = [e for e in self._entries.values()
+            moved = [(self._shards[e.shard], e)
+                     for e in self._entries.values()
                      if not e.ticket.done() and e.shard >= 0
                      and e.shard != self._ring.route(
                          e.request.route_key(), excluding=self._dead)]
@@ -505,10 +516,7 @@ class ShardRouter:
                                           len(self._shards)
                                           - len(self._dead))
         moves = 0
-        for entry in moved:
-            old = self._shards[entry.shard]
-            if not old.cancel(entry.ticket.key, "rebalanced away"):
-                continue
+        for entry in self._revoke(moved, "rebalanced away"):
             moves += 1
             # lifetime total under .total; the bare name stays a gauge
             # holding the size of the *last* rebalance

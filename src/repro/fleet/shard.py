@@ -34,6 +34,7 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import threading
+import weakref
 from typing import Dict, Optional
 
 import repro.obs as obs
@@ -58,6 +59,12 @@ STALL_ALARM_SECONDS = 5.0
 #: fail the shard over and re-route the request (crash semantics, not
 #: a terminal compute failure).
 PROC_DIED_ERROR = "shard process died mid-request"
+
+#: Parent-side pipe ends of every live :class:`ProcessShard`.  A forked
+#: child inherits a copy of each (its own included) and closes them
+#: first thing, so its ``recv()`` sees EOF — and the child exits — when
+#: the parent dies.
+_PARENT_ENDS: "weakref.WeakSet" = weakref.WeakSet()
 
 
 class _ShardServePlan(ServeFaultPlan):
@@ -189,6 +196,8 @@ def _shard_child_main(conn, shard_id: int, workers: int,
     the arrays on first use, then only the key), so warm repeats cost
     a few hundred bytes on the wire.
     """
+    for end in list(_PARENT_ENDS):
+        end.close()
     plan = _ShardServePlan(name=f"shard{shard_id}.child")
     cache = ArtifactCache(max_bytes=cache_bytes, disk_dir=cache_dir,
                           fault_plan=plan, name=f"shard{shard_id}")
@@ -275,6 +284,7 @@ class ProcessShard:
             args=(child_conn, self.shard_id, workers, queue_capacity,
                   batch_size, cache_dir, cache_bytes),
             name=f"fleet-shard-{shard_id}", daemon=True)
+        _PARENT_ENDS.add(self._conn)
         self._proc.start()
         child_conn.close()
         self._outbox: "queue.Queue[Optional[tuple]]" = queue.Queue()

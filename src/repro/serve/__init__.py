@@ -15,7 +15,7 @@ pay-for-what-you-use: deterministic fault injection via
 deadline-aware retry/hedging (:class:`RetryPolicy`), a disk-tier
 :class:`CircuitBreaker` and admission-control load shedding
 (:class:`AdmissionController`), exercised end-to-end by
-``repro chaos --serve``.
+``repro chaos --serve`` (:mod:`repro.faults.chaos`).
 
 See ``docs/SERVING.md`` for the architecture, cache-key layering,
 backpressure semantics and the metrics reference; ``repro serve`` is

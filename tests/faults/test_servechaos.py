@@ -5,18 +5,18 @@ import json
 
 import pytest
 
-from repro.faults.servechaos import SERVE_SCENARIOS, run_serve_chaos
+from repro.faults.chaos import SCENARIOS, run_chaos
 
 
 @pytest.fixture(scope="module")
 def report():
-    return run_serve_chaos(seed=0, quick=True)
+    return run_chaos("serve", seed=0, quick=True)
 
 
 class TestServeMatrix:
     def test_quick_matrix_all_pass(self, report):
         assert report.all_passed
-        assert [r.name for r in report.results] == list(SERVE_SCENARIOS)
+        assert [r.name for r in report.results] == list(SCENARIOS["serve"])
         for res in report.results:
             assert res.passed, f"{res.name}: {res.notes}"
             assert res.stranded == 0
@@ -50,7 +50,7 @@ class TestServeMatrix:
     def test_json_round_trips_and_has_no_wall_clock(self, report):
         doc = json.loads(report.to_json())
         assert doc["all_passed"] is True
-        assert len(doc["scenarios"]) == len(SERVE_SCENARIOS)
+        assert len(doc["scenarios"]) == len(SCENARIOS["serve"])
         text = report.to_json()
         # Wall-clock leakage would break byte-determinism between
         # same-seed runs; the report bans timing fields outright.
@@ -59,5 +59,5 @@ class TestServeMatrix:
             assert banned not in text
 
     def test_json_is_byte_deterministic_across_runs(self, report):
-        again = run_serve_chaos(seed=0, quick=True)
+        again = run_chaos("serve", seed=0, quick=True)
         assert again.to_json() == report.to_json()

@@ -5,18 +5,18 @@ import json
 
 import pytest
 
-from repro.faults.fleetchaos import FLEET_SCENARIOS, run_fleet_chaos
+from repro.faults.chaos import SCENARIOS, run_chaos
 
 
 @pytest.fixture(scope="module")
 def report():
-    return run_fleet_chaos(seed=0, quick=True)
+    return run_chaos("fleet", seed=0, quick=True)
 
 
 class TestFleetMatrix:
     def test_quick_matrix_all_pass(self, report):
         assert report.all_passed
-        assert [r.name for r in report.results] == list(FLEET_SCENARIOS)
+        assert [r.name for r in report.results] == list(SCENARIOS["fleet"])
         for res in report.results:
             assert res.passed, f"{res.name}: {res.notes}"
             assert res.stranded == 0
@@ -48,12 +48,12 @@ class TestFleetMatrix:
     def test_json_round_trips_and_has_no_wall_clock(self, report):
         doc = json.loads(report.to_json())
         assert doc["all_passed"] is True
-        assert len(doc["scenarios"]) == len(FLEET_SCENARIOS)
+        assert len(doc["scenarios"]) == len(SCENARIOS["fleet"])
         text = report.to_json()
         for banned in ("wait_seconds", "service_seconds", "wall",
                        "timestamp", "elapsed"):
             assert banned not in text
 
     def test_json_is_byte_deterministic_across_runs(self, report):
-        again = run_fleet_chaos(seed=0, quick=True)
+        again = run_chaos("fleet", seed=0, quick=True)
         assert again.to_json() == report.to_json()

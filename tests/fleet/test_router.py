@@ -1,11 +1,13 @@
 """ShardRouter: deterministic routing, coalescing, failover
 re-routing with bitwise parity, partitions, shedding, typed losses."""
 
+import time
+
 import pytest
 
 from repro.faults import FleetFaultPlan, RouterPartition, ShardCrash, \
     ShardStall
-from repro.fleet import NoLiveShardsError, ShardedFleet
+from repro.fleet import NoLiveShardsError, ShardedFleet, ShardRouter
 from repro.fleet.ring import HashRing
 from repro.molecules import synthetic_protein
 from repro.serve import (
@@ -235,6 +237,28 @@ def test_rebalance_moves_only_newcomers_keys():
         assert {k for k, r in results.items()
                 if r.shard == 2} == expected
         assert fleet.stats().rebalance_moves == len(expected)
+
+
+@pytest.mark.parametrize("choreography", [
+    test_shard_death_mid_batch_bitwise_parity_with_single_shard,
+    test_rebalance_moves_only_newcomers_keys,
+], ids=["kill", "rebalance"])
+def test_every_victim_is_revoked_before_any_redispatch(monkeypatch,
+                                                       choreography):
+    """Regression: failover and rebalance used to cancel one victim,
+    re-dispatch it, then cancel the next.  Cancelling the hold a
+    shard's single worker is stalled on frees that worker, which could
+    then finish the next victim before its cancel — a killed shard
+    still delivered.  A pause in every dispatch widens that window;
+    the exact move counts must hold regardless."""
+    dispatch = ShardRouter._dispatch
+
+    def paused(self, entry, exclude=None):
+        time.sleep(0.02)
+        dispatch(self, entry, exclude)
+
+    monkeypatch.setattr(ShardRouter, "_dispatch", paused)
+    choreography()
 
 
 def test_submit_after_close_raises():

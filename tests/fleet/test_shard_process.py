@@ -2,8 +2,18 @@
 (bitwise energies, cancellation, death detection) across a real OS
 process boundary."""
 
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.fleet import ProcessShard, ShardedFleet, ThreadShard
 from repro.molecules import synthetic_protein
 from repro.serve import SolveRequest
@@ -132,3 +142,52 @@ def test_fleet_process_backend_end_to_end():
         results = [t.result(timeout=0.0) for t in tickets]
         assert all(r.status == "ok" for r in results)
         assert {r.shard for r in results} <= {0, 1}
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie (an orphan that
+    exited may wait unreaped under a container's init)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads process states from /proc")
+def test_process_shards_exit_when_their_parent_dies():
+    """Regression: each forked child held a copy of its own parent-side
+    pipe end (and every earlier shard's), so its recv() never saw EOF
+    when the parent died — orphaned shards outlived a killed server
+    and kept its stdout pipe open."""
+    script = textwrap.dedent("""
+        import time
+        from repro.fleet import ShardedFleet
+        fleet = ShardedFleet(shards=2, backend="process")
+        print(*(s._proc.pid for s in fleet.shards), flush=True)
+        time.sleep(120)
+    """)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    parent = subprocess.Popen([sys.executable, "-c", script], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        children = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(children) == 2
+        parent.send_signal(signal.SIGTERM)
+        parent.wait(timeout=30)
+        deadline = time.monotonic() + 10.0
+        while (any(_running(pid) for pid in children)
+               and time.monotonic() < deadline):
+            time.sleep(0.1)
+        survivors = [pid for pid in children if _running(pid)]
+        for pid in survivors:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        assert not survivors, f"shards outlived their parent: {survivors}"
+    finally:
+        parent.kill()
+        parent.wait(timeout=30)
+        parent.stdout.close()
