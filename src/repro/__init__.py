@@ -17,7 +17,7 @@ Quick start::
     print(solver.energy())           # kcal/mol
 """
 
-from repro.config import ApproxParams, ParallelConfig
+from repro.config import ApproxParams
 from repro.constants import COULOMB_KCAL, EPSILON_SOLVENT, TAU_WATER, tau
 from repro.core.solver import PolarizationSolver, SolverReport
 from repro.molecules.molecule import Molecule, SurfaceSamples
@@ -26,7 +26,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "ApproxParams",
-    "ParallelConfig",
     "PolarizationSolver",
     "SolverReport",
     "Molecule",

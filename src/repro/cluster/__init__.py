@@ -11,7 +11,8 @@ InfiniBand fat-tree, MVAPICH2 + cilk++) is *simulated*:
 * :mod:`repro.cluster.simmpi` — a thread-backed simulated MPI with
   virtual per-rank clocks and real data movement;
 * :mod:`repro.cluster.workstealing` — a discrete-event simulator of the
-  cilk++ randomized work-stealing scheduler;
+  cilk++ randomized work-stealing scheduler, inside one rank or across
+  ranks (the paper's future-work inter-node stealing);
 * :mod:`repro.cluster.hybrid` — P ranks × p threads composition;
 * :mod:`repro.cluster.trace` — per-run statistics records.
 
@@ -23,13 +24,10 @@ from repro.cluster.machine import MachineSpec, NodeSpec, NetworkSpec, lonestar4
 from repro.cluster.costmodel import CostModel
 from repro.cluster.simmpi import SimCluster, SimComm
 from repro.cluster.workstealing import WorkStealingSim, StealStats
-from repro.cluster.cross_rank import CrossRankStealingSim, CrossRankStats
 from repro.cluster.trace import PhaseSlice, RankStats, RunStats
 
 __all__ = [
     "PhaseSlice",
-    "CrossRankStealingSim",
-    "CrossRankStats",
     "MachineSpec",
     "NodeSpec",
     "NetworkSpec",

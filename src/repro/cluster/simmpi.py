@@ -35,8 +35,8 @@ or ``BrokenBarrierError`` (lint rule RPR006 enforces the boundary):
 Survivors recover by calling :meth:`SimComm.shrink`, which rendezvous
 all live ranks on a new communicator epoch excluding the dead (the
 ULFM ``MPI_Comm_shrink`` model); subsequent collectives span only the
-survivors.  :mod:`repro.parallel.distributed.run_fig4_ft` builds a
-checkpoint/recovery driver on top of this.
+survivors.  :func:`repro.parallel.distributed.run_fig4_simmpi` builds
+its checkpoint/recovery loop on top of this.
 """
 
 from __future__ import annotations

@@ -72,33 +72,3 @@ class ApproxParams:
     def with_(self, **kw) -> "ApproxParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **kw)
-
-
-@dataclass(frozen=True)
-class ParallelConfig:
-    """How a solver run is laid out on the (simulated) cluster.
-
-    ``processes`` MPI ranks, each running ``threads`` worker threads.
-    ``threads == 1`` is the paper's pure distributed ``OCT_MPI``;
-    ``threads > 1`` is the hybrid ``OCT_MPI+CILK``.  ``processes == 1``
-    with ``threads > 1`` is the shared-memory ``OCT_CILK`` setting.
-    """
-
-    processes: int = 1
-    threads: int = 1
-    #: Work division for the Born/energy phases: ``"node"`` (leaf
-    #: segments, the paper's best) or ``"atom"`` (atom segments).
-    work_division: str = "node"
-    #: Seed for the work-stealing victim RNG (runs are deterministic).
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.processes < 1 or self.threads < 1:
-            raise ValueError("processes and threads must be >= 1")
-        if self.work_division not in ("node", "atom"):
-            raise ValueError("work_division must be 'node' or 'atom'")
-
-    @property
-    def total_cores(self) -> int:
-        """Total hardware contexts the run occupies."""
-        return self.processes * self.threads

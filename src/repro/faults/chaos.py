@@ -3,8 +3,8 @@
 :func:`run_chaos` runs one tier's matrix and returns a
 :class:`ChaosReport`:
 
-* ``"cluster"`` — :func:`repro.parallel.distributed.run_fig4_ft` (the
-  paper's Fig. 4 hybrid solver) under every fault class the runtime
+* ``"cluster"`` — :func:`repro.parallel.distributed.run_fig4_simmpi`
+  (the paper's Fig. 4 hybrid solver) under every fault class the runtime
   injects — clean baseline, a rank crash in each of the three Fig. 4
   compute phases (integrals, push, energy), a double crash, a lost
   collective fragment, a late collective entry and a straggler — plus
@@ -82,7 +82,7 @@ from repro.fleet.ring import HashRing
 from repro.guard.solver import GuardedSolver
 from repro.molecules import synthetic_protein
 from repro.molecules.molecule import Molecule
-from repro.parallel.distributed import DistributedOutcome, run_fig4_ft
+from repro.parallel.distributed import DistributedOutcome, run_fig4_simmpi
 from repro.serve.cache import ArtifactCache
 from repro.serve.errors import ServiceOverloadedError
 from repro.serve.request import SolveRequest
@@ -295,7 +295,7 @@ def _run_scenario(scenario: Scenario, molecule: Molecule,
                   ) -> ScenarioResult:
     """Run one cluster scenario twice.
 
-    Fault rows run the FT cluster solver against the fault-free run
+    Fault rows run the Fig. 4 executor against the fault-free run
     ``ref``.  Corruption rows run :class:`GuardedSolver` instead, which
     must detect, degrade and land on the clean answer (transient
     faults → the retry rung is bitwise); a silent pass-through fails.
@@ -313,8 +313,8 @@ def _run_scenario(scenario: Scenario, molecule: Molecule,
             return (r, (r.energy, r.rung, [e.action for e in g.events]),
                     (g.injected_faults, g.degradations, 0.0,
                      time.perf_counter() - t0))
-        out = run_fig4_ft(molecule, params, processes=processes,
-                          fault_plan=scenario.plan)
+        out = run_fig4_simmpi(molecule, params, processes=processes,
+                              fault_plan=scenario.plan)
         st = out.stats
         return (out, (out.energy, st.faults, st.recoveries),
                 (st.faults, st.recoveries, st.recovery_seconds(),
@@ -981,7 +981,7 @@ def run_chaos(tier: str = "cluster",
     if tier == "cluster":
         params = ApproxParams()
         molecule = synthetic_protein(natoms, seed=seed)
-        ref = run_fig4_ft(molecule, params, processes=processes)
+        ref = run_fig4_simmpi(molecule, params, processes=processes)
         results: List[Union[ScenarioResult, ServiceResult]] = [
             _run_scenario(sc, molecule, params, processes, ref, tolerance)
             for sc in scenario_matrix(seed, processes)]

@@ -15,7 +15,6 @@ from repro.faults.plan import FleetFaultPlan
 from repro.fleet.router import FleetStats, ShardRouter
 from repro.fleet.shard import ProcessShard, ThreadShard
 from repro.fleet.supervisor import FleetSupervisor
-from repro.guard.solver import GuardPolicy
 from repro.serve.cache import DEFAULT_CACHE_BYTES
 from repro.serve.request import SolveRequest
 from repro.serve.resilience import (
@@ -38,15 +37,12 @@ class ShardedFleet:
                  queue_capacity: int = 256, batch_size: int = 4,
                  cache_dir: Optional[str] = None,
                  cache_bytes: int = DEFAULT_CACHE_BYTES,
-                 policy: Optional[GuardPolicy] = None,
                  fault_plan: Optional[FleetFaultPlan] = None,
                  admission: Union[AdmissionPolicy, AdmissionController,
                                   None] = None,
                  breaker_policy: Optional[BreakerPolicy] = None,
-                 replicas: Optional[int] = None,
                  max_moves: int = 3,
-                 supervise: bool = False,
-                 probe_interval_s: float = 0.05) -> None:
+                 supervise: bool = False) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         if backend not in _BACKENDS:
@@ -55,17 +51,14 @@ class ShardedFleet:
         self._shard_kwargs = dict(
             workers=workers_per_shard, queue_capacity=queue_capacity,
             batch_size=batch_size, cache_dir=cache_dir,
-            cache_bytes=cache_bytes, policy=policy)
+            cache_bytes=cache_bytes)
         cls = _BACKENDS[backend]
         self.shards = [cls(sid, **self._shard_kwargs)
                        for sid in range(shards)]
-        ring_kwargs = {} if replicas is None else {"replicas": replicas}
         self.router = ShardRouter(
             self.shards, fault_plan=fault_plan, admission=admission,
-            breaker_policy=breaker_policy, max_moves=max_moves,
-            **ring_kwargs)
-        self.supervisor = FleetSupervisor(
-            self.router, probe_interval_s=probe_interval_s)
+            breaker_policy=breaker_policy, max_moves=max_moves)
+        self.supervisor = FleetSupervisor(self.router)
         if supervise:
             self.supervisor.start()
 

@@ -39,7 +39,6 @@ from typing import Dict, Optional
 
 import repro.obs as obs
 from repro.faults.plan import ServeFaultPlan
-from repro.guard.solver import GuardPolicy
 from repro.molecules.molecule import Molecule, SurfaceSamples
 from repro.serve.cache import ArtifactCache, DEFAULT_CACHE_BYTES
 from repro.serve.request import SolveRequest, SolveResult
@@ -104,19 +103,15 @@ class ThreadShard:
     def __init__(self, shard_id: int, *, workers: int = 1,
                  queue_capacity: int = 256, batch_size: int = 4,
                  cache_dir: Optional[str] = None,
-                 cache_bytes: int = DEFAULT_CACHE_BYTES,
-                 policy: Optional[GuardPolicy] = None,
-                 stall_alarm_s: float = STALL_ALARM_SECONDS) -> None:
+                 cache_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         self.shard_id = int(shard_id)
-        self.stall_alarm_s = float(stall_alarm_s)
         self._plan = _ShardServePlan(name=f"shard{shard_id}")
         cache = ArtifactCache(max_bytes=cache_bytes, disk_dir=cache_dir,
                               fault_plan=self._plan,
                               name=f"shard{shard_id}")
         self.service = SolveService(
             workers=workers, queue_capacity=queue_capacity,
-            batch_size=batch_size, cache=cache, policy=policy,
-            fault_plan=self._plan)
+            batch_size=batch_size, cache=cache, fault_plan=self._plan)
         self._lock = obs.named_lock(f"fleet.shard[{shard_id}]._lock")
         self._dead = False                       # guarded-by: _lock
         self._alarms: Dict[str, Ticket] = {}     # guarded-by: _lock
@@ -129,7 +124,7 @@ class ThreadShard:
         if stall_seconds > 0.0:
             self._plan.note_stall(key, stall_seconds)
         ticket = self.service.submit(request)
-        if stall_seconds >= self.stall_alarm_s:
+        if stall_seconds >= STALL_ALARM_SECONDS:
             with self._lock:
                 self._alarms[key] = ticket
         return ticket
@@ -271,12 +266,8 @@ class ProcessShard:
     def __init__(self, shard_id: int, *, workers: int = 1,
                  queue_capacity: int = 256, batch_size: int = 4,
                  cache_dir: Optional[str] = None,
-                 cache_bytes: int = DEFAULT_CACHE_BYTES,
-                 policy: Optional[GuardPolicy] = None,
-                 stall_alarm_s: float = STALL_ALARM_SECONDS) -> None:
-        del policy  # guard policy is not wired over the pipe (defaults)
+                 cache_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         self.shard_id = int(shard_id)
-        self.stall_alarm_s = float(stall_alarm_s)
         ctx = multiprocessing.get_context()
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
@@ -357,7 +348,7 @@ class ProcessShard:
         ticket = Ticket(key)
         with self._lock:
             self._tickets[key] = ticket
-            if stall_seconds >= self.stall_alarm_s:
+            if stall_seconds >= STALL_ALARM_SECONDS:
                 self._alarms[key] = ticket
             # The _sent_routes test-and-set and the enqueue share the
             # lock so the payload-bearing message is strictly first in

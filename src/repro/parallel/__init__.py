@@ -4,19 +4,14 @@ from repro.parallel.partition import (
     segment_bounds,
     leaf_segments,
     atom_segments,
-    weighted_leaf_segments,
+    weighted_bounds,
 )
 from repro.parallel.profile import WorkProfile
-from repro.parallel.distributed import (
-    run_fig4_ft,
-    run_fig4_simmpi,
-    simulate_fig4,
-)
+from repro.parallel.distributed import run_fig4_simmpi, simulate_fig4
 from repro.parallel.drivers import (
     run_oct_cilk,
     run_oct_mpi,
     run_oct_hybrid,
-    run_oct_mpi_ft,
     DriverResult,
 )
 
@@ -24,14 +19,12 @@ __all__ = [
     "segment_bounds",
     "leaf_segments",
     "atom_segments",
-    "weighted_leaf_segments",
+    "weighted_bounds",
     "WorkProfile",
-    "run_fig4_ft",
     "run_fig4_simmpi",
     "simulate_fig4",
     "run_oct_cilk",
     "run_oct_mpi",
     "run_oct_hybrid",
-    "run_oct_mpi_ft",
     "DriverResult",
 ]

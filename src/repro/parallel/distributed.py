@@ -3,8 +3,11 @@
 :func:`run_fig4_simmpi` *executes* the seven steps on the simulated MPI
 runtime: every rank is a thread, partial integrals really travel
 through ``Allreduce``, Born-radius segments through ``Allgather`` and
-partial energies through ``Reduce``.  Use it for correctness runs and
-moderate rank counts.
+partial energies through ``Reduce``.  It survives rank crashes: phase
+checkpoints, shrink-based recovery after rank deaths and deterministic
+redistribution of the dead rank's work — see ``docs/ROBUSTNESS.md`` and
+the ``repro chaos`` harness.  Use it for correctness runs and moderate
+rank counts.
 
 :func:`simulate_fig4` *replays* a recorded :class:`WorkProfile` under a
 given (P, p) layout: per-leaf task costs are partitioned node-wise,
@@ -12,11 +15,6 @@ each rank's parallel phase goes through the work-stealing simulator,
 and communication is priced by the collective cost formulas.  Use it
 for the core-count sweeps (Figs. 5, 6, 11) where the numerics are
 provably layout-independent.
-
-:func:`run_fig4_ft` is the fault-tolerant variant of the simulated-MPI
-execution: phase checkpoints, shrink-based recovery after rank deaths,
-and deterministic redistribution of the dead rank's work — see
-``docs/ROBUSTNESS.md`` and the ``repro chaos`` harness.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from repro.cluster.hybrid import run_intra_rank
 from repro.cluster.machine import MachineSpec, lonestar4
 from repro.cluster.simmpi import SimCluster
 from repro.cluster.trace import PhaseSlice, RankStats, RunStats
+from repro.cluster.workstealing import WorkStealingSim
 from repro.config import ApproxParams
 from repro.constants import TAU_WATER
 from repro.core.born_octree import (
@@ -54,7 +53,7 @@ from repro.faults.plan import (
 )
 from repro.molecules.molecule import Molecule
 from repro.octree.build import build_octree
-from repro.parallel.partition import atom_segments, leaf_segments, segment_bounds
+from repro.parallel.partition import segment_bounds, weighted_bounds
 from repro.parallel.profile import WorkProfile
 
 
@@ -67,110 +66,8 @@ class DistributedOutcome:
     stats: RunStats
 
 
-def run_fig4_simmpi(molecule: Molecule,
-                    params: ApproxParams = ApproxParams(),
-                    processes: int = 4,
-                    threads: int = 1,
-                    machine: Optional[MachineSpec] = None,
-                    cost: Optional[CostModel] = None,
-                    work_division: str = "node",
-                    tau: float = TAU_WATER) -> DistributedOutcome:
-    """Execute the seven steps of Fig. 4 on the simulated MPI runtime.
-
-    ``work_division`` selects the Born-phase scheme: ``"node"`` divides
-    the Q-leaves (the paper's choice), ``"atom"`` divides the sorted
-    atoms (each rank traverses everything but only deposits for its
-    range — the ablation whose error varies with P).  The energy phase
-    always uses node division, as in the paper.
-    """
-    if work_division not in ("node", "atom"):
-        raise ValueError("work_division must be 'node' or 'atom'")
-    machine = machine or lonestar4()
-    cost = cost or CostModel(machine=machine)
-
-    surf = molecule.require_surface()
-    atoms_tree = build_octree(molecule.positions, params.leaf_size,
-                              params.max_depth)
-    q_tree = build_octree(surf.points, params.leaf_size, params.max_depth)
-    wn_sorted = surf.weighted_normals[q_tree.perm]
-    q_sorted = molecule.charges[atoms_tree.perm]
-    intrinsic_sorted = molecule.radii[atoms_tree.perm]
-    natoms = molecule.natoms
-
-    q_segs = leaf_segments(q_tree, processes)
-    a_leaf_segs = leaf_segments(atoms_tree, processes)
-    a_atom_segs = atom_segments(natoms, processes)
-    data_bytes = (molecule.nbytes() + atoms_tree.nbytes() + q_tree.nbytes()
-                  + 8 * (atoms_tree.nnodes + 2 * natoms))
-
-    def rankfn(comm):
-        # Step 1 — octrees are built (locally, identical) as
-        # preprocessing; excluded from timing as in §IV-C.
-        comm.charge_memory(data_bytes)
-
-        # Step 2 — APPROX-INTEGRALS over this rank's share.
-        if work_division == "node":
-            s_node, s_atom, cnt, _ = approx_integrals(
-                atoms_tree, q_tree, wn_sorted, params,
-                q_leaf_subset=q_segs[comm.rank])
-        else:
-            s_node, s_atom, cnt, _ = approx_integrals(
-                atoms_tree, q_tree, wn_sorted, params,
-                atom_range=a_atom_segs[comm.rank])
-        comm.compute(cost.born_compute_seconds(
-            cnt.frontier_visits, cnt.far_evaluations,
-            cnt.exact_interactions, params.approx_math), label="born")
-
-        # Step 3 — gather everyone's partial integrals.
-        packed = comm.allreduce(np.concatenate([s_node, s_atom]))
-        s_node_t, s_atom_t = packed[:atoms_tree.nnodes], \
-            packed[atoms_tree.nnodes:]
-
-        # Step 4 — PUSH-INTEGRALS-TO-ATOMS for this rank's atom segment.
-        seg = a_atom_segs[comm.rank]
-        radii_sorted = push_integrals_to_atoms(
-            atoms_tree, s_node_t, s_atom_t, intrinsic_sorted,
-            atom_range=seg)
-        comm.compute(cost.push_compute_seconds(
-            seg[1] - seg[0], atoms_tree.nnodes / comm.size), label="push")
-
-        # Step 5 — share Born radii segments.
-        parts = comm.allgather(radii_sorted[seg[0]:seg[1]])
-        radii_full = np.concatenate(parts)
-
-        # Step 6 — partial energy over this rank's atoms-leaf segment.
-        buckets = build_charge_buckets(atoms_tree, q_sorted, radii_full,
-                                       params.eps_epol)
-        raw, cnt2, _ = approx_epol_for_leaves(
-            atoms_tree, q_sorted, radii_full, buckets, params,
-            v_leaf_subset=a_leaf_segs[comm.rank])
-        comm.compute(cost.epol_compute_seconds(
-            cnt2.frontier_visits, cnt2.far_evaluations,
-            cnt2.exact_interactions, buckets.nbuckets, params.approx_math),
-            label="epol")
-
-        # Step 7 — master accumulates the energy.
-        total_raw = comm.reduce(raw, root=0)
-        energy = (energy_prefactor(tau) * total_raw
-                  if comm.rank == 0 else None)
-        return energy, radii_full
-
-    cluster = SimCluster(processes, threads_per_rank=threads,
-                         machine=machine, cost=cost)
-    results, stats = cluster.run(rankfn)
-    energy = results[0][0]
-    radii_sorted = results[0][1]
-    radii = atoms_tree.scatter_to_original(radii_sorted)
-    return DistributedOutcome(energy=energy, born_radii=radii, stats=stats)
-
-
-# ---------------------------------------------------------------------------
-# Fault-tolerant Fig. 4: checkpointed phases + shrink recovery
-# ---------------------------------------------------------------------------
-
-
 class _Checkpoint:
-    """Replicated in-memory phase-checkpoint store for one FT run.
+    """Replicated in-memory phase-checkpoint store for one run.
 
     Models a replicated checkpoint service: the ranks publish each
     completed phase's collective result under a name (idempotent —
@@ -205,20 +102,10 @@ def _ckpt_copy(value: Any) -> Any:
     return copy.deepcopy(value)
 
 
-def _owners_from_leaf_segments(segments: List[np.ndarray],
-                               n_leaves: int) -> np.ndarray:
-    owner = np.empty(n_leaves, dtype=np.int64)
-    for r, idx in enumerate(segments):
-        owner[idx] = r
-    return owner
-
-
-def _owners_from_atom_segments(segments: List[Tuple[int, int]],
-                               natoms: int) -> np.ndarray:
-    owner = np.empty(natoms, dtype=np.int64)
-    for r, (s, e) in enumerate(segments):
-        owner[s:e] = r
-    return owner
+def _block_owners(n_items: int, parts: int) -> np.ndarray:
+    """Owning rank of each item under the static even split."""
+    return np.repeat(np.arange(parts),
+                     np.diff(segment_bounds(n_items, parts)))
 
 
 def _reassign_lost(owner: np.ndarray, newly_dead: Tuple[int, ...],
@@ -250,25 +137,33 @@ def _contiguous_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def run_fig4_ft(molecule: Molecule,
-                params: ApproxParams = ApproxParams(),
-                processes: int = 4,
-                threads: int = 1,
-                machine: Optional[MachineSpec] = None,
-                cost: Optional[CostModel] = None,
-                fault_plan: Optional[FaultPlan] = None,
-                timeout: Optional[float] = None,
-                tau: float = TAU_WATER) -> DistributedOutcome:
-    """Fault-tolerant Fig. 4: same numerics, survives rank crashes.
+def run_fig4_simmpi(molecule: Molecule,
+                    params: ApproxParams = ApproxParams(),
+                    processes: int = 4,
+                    threads: int = 1,
+                    machine: Optional[MachineSpec] = None,
+                    cost: Optional[CostModel] = None,
+                    work_division: str = "node",
+                    fault_plan: Optional[FaultPlan] = None,
+                    timeout: Optional[float] = None,
+                    tau: float = TAU_WATER) -> DistributedOutcome:
+    """Execute the seven steps of Fig. 4 on the simulated MPI runtime.
+
+    ``work_division`` selects the Born-phase scheme: ``"node"`` divides
+    the Q-leaves (the paper's choice), ``"atom"`` divides the sorted
+    atoms (each rank traverses everything but only deposits for its
+    range — the ablation whose error varies with P).  The energy phase
+    always uses node division, as in the paper.
 
     Each of the three compute phases (integrals, push, energy) runs
-    under a recovery loop:
+    under a recovery loop, so the run survives the rank crashes of
+    ``fault_plan``:
 
-    * every rank works through the blocks it *owns* (Q-leaves, atom
-      ranges, atoms-tree leaves — the static partition of
-      :mod:`repro.parallel.partition`), folding results into local
-      accumulators and marking blocks *folded* so a retry never
-      double-counts;
+    * every rank works through the blocks it *owns* (Q-leaves or
+      sorted atoms, atom ranges, atoms-tree leaves — the static
+      partition of :mod:`repro.parallel.partition`), folding results
+      into local accumulators and marking blocks *folded* so a retry
+      never double-counts;
     * when a peer dies, the in-flight collective aborts with a typed
       :class:`~repro.faults.errors.CollectiveAbortedError` naming the
       dead; survivors :meth:`~repro.cluster.simmpi.SimComm.shrink` to
@@ -281,11 +176,16 @@ def run_fig4_ft(molecule: Molecule,
       "radii" after the Allgather), so a phase whose collective
       completed is never re-entered.
 
-    The recovered energy matches the fault-free run to floating-point
-    reordering (the chaos harness asserts 1e-9 relative agreement).
-    A rank crashed by the plan returns ``None``; the cluster tolerates
-    injected deaths as long as one rank survives.
+    Under node division the recovered energy matches the fault-free
+    run to floating-point reordering (the chaos harness asserts 1e-9
+    relative agreement).  Under atom division a Born-phase recovery
+    re-cuts the dead rank's atom range, which moves the result within
+    the same ε envelope that moving P does.  A rank crashed by the
+    plan returns ``None``; the cluster tolerates injected deaths as
+    long as one rank survives.
     """
+    if work_division not in ("node", "atom"):
+        raise ValueError("work_division must be 'node' or 'atom'")
     machine = machine or lonestar4()
     cost = cost or CostModel(machine=machine)
 
@@ -298,27 +198,39 @@ def run_fig4_ft(molecule: Molecule,
     intrinsic_sorted = molecule.radii[atoms_tree.perm]
     natoms = molecule.natoms
     nnodes = atoms_tree.nnodes
-    n_qleaves = len(q_tree.leaves)
     n_vleaves = len(atoms_tree.leaves)
 
     # Static partition metadata, reused verbatim by the recovery policy.
-    q_owner0 = _owners_from_leaf_segments(
-        leaf_segments(q_tree, processes), n_qleaves)
-    atom_owner0 = _owners_from_atom_segments(
-        atom_segments(natoms, processes), natoms)
-    v_owner0 = _owners_from_leaf_segments(
-        leaf_segments(atoms_tree, processes), n_vleaves)
+    # The Born phase owns Q-leaves under node division, sorted atoms
+    # under atom division.
+    atom_owner0 = _block_owners(natoms, processes)
+    v_owner0 = _block_owners(n_vleaves, processes)
+    born_owner0 = (atom_owner0 if work_division == "atom"
+                   else _block_owners(len(q_tree.leaves), processes))
+
+    def born_calls(todo: np.ndarray) -> List[Tuple[Any, Dict]]:
+        """``(folded selector, approx_integrals subset)`` per traversal:
+        one per contiguous run of owned, unfolded atoms, or one over
+        every owned, unfolded Q-leaf."""
+        if work_division == "atom":
+            return [(slice(s, e), {"atom_range": (s, e)})
+                    for s, e in _contiguous_runs(todo)]
+        mine = np.flatnonzero(todo)
+        return [(mine, {"q_leaf_subset": mine})] if mine.size else []
+
     data_bytes = (molecule.nbytes() + atoms_tree.nbytes() + q_tree.nbytes()
                   + 8 * (nnodes + 2 * natoms))
 
     ckpt = _Checkpoint()
 
     def rankfn(comm):
+        # Step 1 — octrees are built (locally, identical) as
+        # preprocessing; excluded from timing as in §IV-C.
         comm.charge_memory(data_bytes)
-        q_owner = q_owner0.copy()
+        born_owner = born_owner0.copy()
         atom_owner = atom_owner0.copy()
         v_owner = v_owner0.copy()
-        owners = (q_owner, atom_owner, v_owner)
+        owners = (born_owner, atom_owner, v_owner)
         # The V leaves one energy traversal covers: a rank's segment,
         # or the share of a dead rank's leaves it took over at an epoch.
         v_unit = v_owner0.copy()
@@ -336,10 +248,11 @@ def run_fig4_ft(molecule: Molecule,
             moved = v_owner != before
             v_unit[moved] = info.epoch * processes + v_owner[moved]
 
-        # -- Phase 1: APPROX-INTEGRALS + Allreduce (ckpt "integrals") --
+        # Steps 2–3 — APPROX-INTEGRALS over this rank's share, then
+        # Allreduce of everyone's partial integrals (ckpt "integrals").
         s_node_acc = np.zeros(nnodes, dtype=np.float64)
         s_atom_acc = np.zeros(natoms, dtype=np.float64)
-        q_folded = np.zeros(n_qleaves, dtype=bool)
+        born_folded = np.zeros(len(born_owner), dtype=bool)
         # ``attempt`` counts per-phase retries: attempt 0 is primary
         # work (even on a shrunken communicator — redistribution is
         # just the static partition over fewer ranks); attempt > 0
@@ -351,11 +264,10 @@ def run_fig4_ft(molecule: Molecule,
             if packed is not None:
                 break
             try:
-                mine = np.flatnonzero((q_owner == comm.rank) & ~q_folded)
-                if mine.size:
+                for sel, subset in born_calls(
+                        (born_owner == comm.rank) & ~born_folded):
                     s_node, s_atom, cnt, _ = approx_integrals(
-                        atoms_tree, q_tree, wn_sorted, params,
-                        q_leaf_subset=mine)
+                        atoms_tree, q_tree, wn_sorted, params, **subset)
                     comm.compute(
                         cost.born_compute_seconds(
                             cnt.frontier_visits, cnt.far_evaluations,
@@ -364,7 +276,7 @@ def run_fig4_ft(molecule: Molecule,
                         recovery=attempt > 0)
                     s_node_acc += s_node
                     s_atom_acc += s_atom
-                    q_folded[mine] = True
+                    born_folded[sel] = True
                 packed = comm.allreduce(
                     np.concatenate([s_node_acc, s_atom_acc]))
                 ckpt.put("integrals", packed)
@@ -374,7 +286,8 @@ def run_fig4_ft(molecule: Molecule,
                 attempt += 1
         s_node_t, s_atom_t = packed[:nnodes], packed[nnodes:]
 
-        # -- Phase 2: PUSH-INTEGRALS + Allgather (ckpt "radii") --------
+        # Steps 4–5 — PUSH-INTEGRALS-TO-ATOMS for this rank's atom
+        # segment, then Allgather of the Born radii (ckpt "radii").
         radii_acc = np.full(natoms, np.nan, dtype=np.float64)
         atom_folded = np.zeros(natoms, dtype=bool)
         attempt = 0
@@ -407,7 +320,8 @@ def run_fig4_ft(molecule: Molecule,
                 on_fault(exc)
                 attempt += 1
 
-        # -- Phase 3: partial energies + Reduce + result Bcast ---------
+        # Steps 6–7 — partial energy over this rank's atoms-leaf
+        # segment, Reduce to the master and Bcast of the result.
         buckets = build_charge_buckets(atoms_tree, q_sorted, radii_full,
                                        params.eps_epol)
         # One traversal per unit, summed in unit order: thread timing
@@ -490,15 +404,16 @@ def simulate_fig4(profile: WorkProfile,
 
     ``segmenting`` selects how leaf work is balanced across ranks:
     ``"count"`` — equal leaf counts, the paper's scheme; ``"weighted"``
-    — equal modelled *cost* per contiguous segment; ``"stealing"`` —
-    cross-rank work stealing on top of the count segments (both
+    — equal modelled *cost* per contiguous segment
+    (:func:`~repro.parallel.partition.weighted_bounds`); ``"stealing"``
+    — cross-rank work stealing on top of the count segments (both
     "explicit load balancing" variants the paper's conclusion proposes
     as future work).
 
     ``fault_plan`` injects the *performance* fault classes into the
     replay — :class:`Straggler` slowdowns and collective
     :class:`MessageDelay` late entries (crashes and drops need real
-    message passing; use :func:`run_fig4_ft` for those).
+    message passing; use :func:`run_fig4_simmpi` for those).
     """
     if segmenting not in ("count", "weighted", "stealing"):
         raise ValueError(
@@ -511,7 +426,7 @@ def simulate_fig4(profile: WorkProfile,
         if unsupported:
             raise ValueError(
                 "simulate_fig4 replays support only Straggler and "
-                "collective MessageDelay faults; use run_fig4_ft for "
+                "collective MessageDelay faults; use run_fig4_simmpi for "
                 f"crashes and drops (got {unsupported[0]!r})")
     machine = machine or lonestar4()
     cost = cost or CostModel(machine=machine)
@@ -546,46 +461,29 @@ def simulate_fig4(profile: WorkProfile,
         eps_src.exact_interactions.astype(np.float64),
         profile.nbuckets, profile.params.approx_math, cf)
 
-    def _segment_bounds_for(leaf_sec: np.ndarray) -> np.ndarray:
-        if segmenting == "count" or len(leaf_sec) <= P:
-            return segment_bounds(len(leaf_sec), P)
-        # Cost-aware cuts: close a segment once it reaches its share of
-        # the total modelled cost (greedy sweep, contiguous segments).
-        total = leaf_sec.sum()
-        cuts = [0]
-        acc = 0.0
-        for i, c in enumerate(leaf_sec):
-            acc += c
-            if acc >= total * len(cuts) / P and len(cuts) < P:
-                cuts.append(i + 1)
-        while len(cuts) < P:
-            cuts.append(len(leaf_sec))
-        cuts.append(len(leaf_sec))
-        return np.asarray(cuts)
-
     def phase_over_ranks(leaf_sec: np.ndarray, phase_seed: int
                          ) -> Tuple[np.ndarray, np.ndarray]:
+        bounds = (weighted_bounds(leaf_sec, P) if segmenting == "weighted"
+                  else segment_bounds(len(leaf_sec), P))
         if segmenting == "stealing":
-            from repro.cluster.cross_rank import CrossRankStealingSim
-            sim = CrossRankStealingSim(
-                ranks=P, threads_per_rank=p,
+            sim = WorkStealingSim(
+                workers=p, ranks=P,
                 task_overhead=cost.cilk_task_overhead,
-                intra_steal_overhead=cost.cilk_steal_overhead,
+                steal_overhead=cost.cilk_steal_overhead,
                 inter_steal_overhead=(
                     cost.point_to_point_seconds(8.0, same_node=False)
                     * 2.0),
                 seed=phase_seed)
-            st = sim.run(leaf_sec, segment_bounds(len(leaf_sec), P))
+            st = sim.run(leaf_sec, bounds)
             extra = (cost.hybrid_interface_overhead
                      if (p > 1 and P > 1) else 0.0)
             jitter = float(np.exp(rng.normal(0.0, noise_sigma)))
             t = (st.makespan + extra) * mem_factor * jitter
-            # The cross-rank simulator reports one pooled count; spread
-            # it so per-rank accounting still sums to the total.
+            # The simulator reports one count pooled over the ranks;
+            # spread it so per-rank accounting still sums to the total.
             spread = np.full(P, st.steals // P, dtype=np.int64)
             spread[:st.steals % P] += 1
             return np.full(P, t, dtype=np.float64), spread
-        bounds = _segment_bounds_for(leaf_sec)
         times = np.empty(P, dtype=np.float64)
         steals = np.zeros(P, dtype=np.int64)
         jitter = noise()

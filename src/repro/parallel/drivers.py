@@ -24,9 +24,8 @@ from repro.cluster.machine import MachineSpec
 from repro.cluster.trace import RunStats
 from repro.config import ApproxParams
 from repro.molecules.molecule import Molecule
-from repro.faults.plan import FaultPlan
 from repro.obs import span
-from repro.parallel.distributed import run_fig4_ft, simulate_fig4
+from repro.parallel.distributed import simulate_fig4
 from repro.parallel.profile import WorkProfile
 
 
@@ -116,28 +115,3 @@ def run_oct_hybrid(molecule: Molecule,
     """Hybrid OCT_MPI+CILK (single-tree, P ranks × p threads)."""
     return _run("OCT_MPI+CILK", molecule, params, "octree", processes,
                 threads, machine, cost, seed)
-
-
-def run_oct_mpi_ft(molecule: Molecule,
-                   params: ApproxParams = ApproxParams(),
-                   processes: int = 4,
-                   machine: Optional[MachineSpec] = None,
-                   cost: Optional[CostModel] = None,
-                   fault_plan: Optional[FaultPlan] = None,
-                   timeout: Optional[float] = None) -> DriverResult:
-    """Fault-tolerant OCT_MPI: the real solve under an (optional) plan.
-
-    Unlike the profiled drivers above this executes the full Fig. 4
-    program on the simulated runtime (no WorkProfile cache), so the
-    returned energy/radii come from the surviving ranks themselves.
-    """
-    with span("driver.ft", driver="OCT_MPI_FT", processes=processes,
-              faults=fault_plan is not None):
-        outcome = run_fig4_ft(molecule, params, processes=processes,
-                              machine=machine, cost=cost,
-                              fault_plan=fault_plan, timeout=timeout)
-    profile = _profiles.get(molecule, params, "octree")
-    return DriverResult(name="OCT_MPI_FT", energy=outcome.energy,
-                        born_radii=outcome.born_radii,
-                        wall_seconds=outcome.stats.wall_seconds,
-                        stats=outcome.stats, profile=profile)

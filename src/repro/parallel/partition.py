@@ -47,30 +47,29 @@ def atom_segments(natoms: int, parts: int) -> List[Tuple[int, int]]:
     return [(int(bounds[i]), int(bounds[i + 1])) for i in range(parts)]
 
 
-def weighted_leaf_segments(tree: Octree, parts: int,
-                           leaf_weights: np.ndarray) -> List[np.ndarray]:
-    """Cost-aware node division (ablation): contiguous leaf segments with
-    near-equal *weight* rather than equal *count*.
+def weighted_bounds(weights: np.ndarray, parts: int) -> np.ndarray:
+    """Cost-aware division: ``parts + 1`` offsets of contiguous segments
+    with near-equal *weight* rather than equal *count*.
 
-    A greedy sweep closes a segment once it reaches the average target
-    weight; this is the "explicit" static balancing the paper's
-    conclusion lists as future work.
+    A greedy sweep closes segment *k* once the running weight reaches
+    ``k / parts`` of the total; this is the "explicit" static balancing
+    the paper's conclusion lists as future work.  With no more items
+    than parts it is the even split of :func:`segment_bounds`.
     """
-    n = len(tree.leaves)
-    w = np.asarray(leaf_weights, dtype=np.float64)
-    if len(w) != n:
-        raise ValueError("need one weight per leaf")
-    if parts >= n:
-        return [np.array([i]) if i < n else np.empty(0, dtype=np.int64)
-                for i in range(parts)]
-    target = w.sum() / parts
+    w = np.asarray(weights, dtype=np.float64)
+    n = len(w)
+    if parts < 1:
+        raise ValueError("parts must be >= 1")
+    if n <= parts:
+        return segment_bounds(n, parts)
+    total = w.sum()
     cuts = [0]
     acc = 0.0
-    for i in range(n):
-        acc += w[i]
-        if acc >= target * len(cuts) and len(cuts) < parts:
+    for i, c in enumerate(w):
+        acc += c
+        if acc >= total * len(cuts) / parts and len(cuts) < parts:
             cuts.append(i + 1)
     while len(cuts) < parts:
         cuts.append(n)
     cuts.append(n)
-    return [np.arange(cuts[i], cuts[i + 1]) for i in range(parts)]
+    return np.asarray(cuts)

@@ -17,16 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import ApproxParams
-from repro.core.born_octree import (
-    BornResult,
-    PerSourceCounts,
-    born_radii_octree,
-)
-from repro.core.dualtree import born_radii_dualtree, epol_dualtree
-from repro.core.energy_octree import EpolResult, epol_octree
+from repro.core.born_octree import PerSourceCounts
+from repro.core.solver import PolarizationSolver
 from repro.molecules.molecule import Molecule
 from repro.obs import span
-from repro.octree.build import Octree
 
 
 @dataclass
@@ -64,45 +58,11 @@ class WorkProfile:
         (prior-work OCT_CILK algorithm)."""
         with span("profile.from_molecule", method=method,
                   natoms=molecule.natoms):
-            return cls._from_molecule(molecule, params, method)
+            return cls.from_solver(
+                PolarizationSolver(molecule, params, method=method))
 
     @classmethod
-    def _from_molecule(cls, molecule: Molecule, params: ApproxParams,
-                       method: str) -> "WorkProfile":
-        if method == "octree":
-            born: BornResult = born_radii_octree(molecule, params)
-            epol: EpolResult = epol_octree(molecule, born.radii, params,
-                                           atoms_tree=born.atoms_tree)
-        elif method == "dualtree":
-            born = born_radii_dualtree(molecule, params)
-            epol = epol_dualtree(molecule, born.radii, params,
-                                 atoms_tree=born.atoms_tree)
-        else:
-            raise ValueError("method must be 'octree' or 'dualtree'")
-
-        atoms_tree: Octree = born.atoms_tree
-        q_tree: Octree = born.qpoints_tree
-        working = 8 * (atoms_tree.nnodes + 2 * atoms_tree.npoints)
-        data_bytes = (molecule.nbytes() + atoms_tree.nbytes()
-                      + q_tree.nbytes() + working)
-        return cls(
-            name=molecule.name,
-            natoms=molecule.natoms,
-            nqpoints=molecule.nqpoints,
-            params=params,
-            method=method,
-            born_per_source=born.per_source,
-            epol_per_source=epol.per_source,
-            nbuckets=epol.buckets.nbuckets,
-            atoms_nodes=atoms_tree.nnodes,
-            qpoints_nodes=q_tree.nnodes,
-            data_bytes=int(data_bytes),
-            energy=epol.energy,
-            born_radii=born.radii,
-        )
-
-    @classmethod
-    def from_solver(cls, solver) -> "WorkProfile":
+    def from_solver(cls, solver: PolarizationSolver) -> "WorkProfile":
         """Capture a profile from an already-run PolarizationSolver.
 
         Reuses the solver's cached traversal results instead of paying

@@ -57,7 +57,7 @@ import repro.obs as obs
 from repro.faults.errors import WorkerCrashedError
 from repro.faults.plan import ServeFaultPlan
 from repro.guard.errors import DiagnosticError
-from repro.guard.solver import GuardPolicy, GuardedSolver, WarmStart
+from repro.guard.solver import GuardedSolver, WarmStart
 from repro.molecules.molecule import Molecule, SurfaceSamples
 from repro.molecules.surface import sample_surface
 from repro.serve.cache import (
@@ -231,8 +231,6 @@ class SolveService:
     cache:
         Shared :class:`ArtifactCache`; built from ``cache_bytes`` /
         ``cache_dir`` when omitted.
-    policy:
-        :class:`GuardPolicy` for every solve (None → defaults).
     fault_plan:
         Optional :class:`ServeFaultPlan` driving deterministic crash /
         straggler / disk / poison injection (chaos testing only).
@@ -255,7 +253,6 @@ class SolveService:
                  cache: Optional[ArtifactCache] = None,
                  cache_bytes: int = DEFAULT_CACHE_BYTES,
                  cache_dir: Optional[str] = None,
-                 policy: Optional[GuardPolicy] = None,
                  fault_plan: Optional[ServeFaultPlan] = None,
                  retry: Optional[RetryPolicy] = None,
                  admission: Union[AdmissionPolicy, AdmissionController,
@@ -268,7 +265,6 @@ class SolveService:
         self.cache = cache if cache is not None else ArtifactCache(
             max_bytes=cache_bytes, disk_dir=cache_dir,
             breaker=breaker, fault_plan=fault_plan)
-        self.policy = policy
         self.batch_size = int(batch_size)
         self._fault_plan = fault_plan
         self._retry = retry
@@ -811,8 +807,7 @@ class SolveService:
 
         warm, level = self._warm_start(mol, req)
         guarded = GuardedSolver(mol, req.params, method=req.method,
-                                tau=req.tau, policy=self.policy,
-                                warm=warm)
+                                tau=req.tau, warm=warm)
         report = guarded.report()
         self._store_artifacts(mol, req, ekey, report, guarded, warm)
         status = "degraded" if report.degradations else "ok"

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.cluster.cross_rank import CrossRankStealingSim
+from repro.cluster.workstealing import WorkStealingSim
 from repro.parallel.partition import segment_bounds
 
 
 def _sim(P=4, p=2, **kw):
-    return CrossRankStealingSim(ranks=P, threads_per_rank=p, seed=3, **kw)
+    return WorkStealingSim(workers=p, ranks=P, seed=3, **kw)
 
 
 class TestBasics:
@@ -18,10 +18,7 @@ class TestBasics:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CrossRankStealingSim(ranks=0, threads_per_rank=1)
-        with pytest.raises(ValueError):
-            CrossRankStealingSim(ranks=1, threads_per_rank=1,
-                                 remote_attempt_fraction=2.0)
+            WorkStealingSim(workers=1, ranks=0)
         with pytest.raises(ValueError):
             _sim().run([1.0], [0, 1])      # wrong number of segments
         with pytest.raises(ValueError):

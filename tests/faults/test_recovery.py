@@ -16,7 +16,6 @@ from repro.parallel.distributed import (
     _Checkpoint,
     _contiguous_runs,
     _reassign_lost,
-    run_fig4_ft,
     run_fig4_simmpi,
 )
 
@@ -30,7 +29,13 @@ def molecule():
 
 @pytest.fixture(scope="module")
 def reference(molecule):
-    return run_fig4_ft(molecule, PARAMS, processes=4)
+    return run_fig4_simmpi(molecule, PARAMS, processes=4)
+
+
+@pytest.fixture(scope="module")
+def atom_reference(molecule):
+    return run_fig4_simmpi(molecule, PARAMS, processes=4,
+                           work_division="atom")
 
 
 class TestHelpers:
@@ -96,18 +101,12 @@ class TestShrink:
 
 
 class TestFaultTolerantSolve:
-    def test_fault_free_matches_plain_simmpi(self, molecule, reference):
-        plain = run_fig4_simmpi(molecule, PARAMS, processes=4)
-        assert reference.energy == plain.energy
-        assert np.array_equal(reference.born_radii, plain.born_radii)
-        assert reference.stats.faults == 0
-        assert reference.stats.recoveries == 0
-
     @pytest.mark.parametrize("phase", ["born", "push", "epol"])
     def test_recovers_from_crash_in_each_phase(self, molecule, reference,
                                                phase):
         plan = FaultPlan([RankCrash(rank=2, phase=phase)])
-        out = run_fig4_ft(molecule, PARAMS, processes=4, fault_plan=plan)
+        out = run_fig4_simmpi(molecule, PARAMS, processes=4,
+                              fault_plan=plan)
         assert out.energy == pytest.approx(reference.energy, rel=1e-12)
         assert np.allclose(out.born_radii, reference.born_radii,
                            rtol=1e-12, atol=0.0)
@@ -128,20 +127,25 @@ class TestFaultTolerantSolve:
     def test_recovers_when_rank_zero_dies(self, molecule, reference):
         """The master itself is expendable: the effective root moves."""
         plan = FaultPlan([RankCrash(rank=0, phase="epol")])
-        out = run_fig4_ft(molecule, PARAMS, processes=4, fault_plan=plan)
+        out = run_fig4_simmpi(molecule, PARAMS, processes=4,
+                              fault_plan=plan)
         assert out.energy == pytest.approx(reference.energy, rel=1e-12)
 
     def test_recovers_from_double_crash(self, molecule, reference):
         plan = FaultPlan([RankCrash(rank=1, phase="born"),
                           RankCrash(rank=3, phase="epol")])
-        out = run_fig4_ft(molecule, PARAMS, processes=4, fault_plan=plan)
+        out = run_fig4_simmpi(molecule, PARAMS, processes=4,
+                              fault_plan=plan)
         assert out.energy == pytest.approx(reference.energy, rel=1e-12)
         assert out.stats.faults == 2
         assert out.stats.recoveries == 2
 
     def test_straggler_changes_time_not_energy(self, molecule, reference):
         plan = FaultPlan([Straggler(rank=1, factor=3.0)])
-        out = run_fig4_ft(molecule, PARAMS, processes=4, fault_plan=plan)
+        out = run_fig4_simmpi(molecule, PARAMS, processes=4,
+                              fault_plan=plan)
+        assert reference.stats.faults == 0
+        assert reference.stats.recoveries == 0
         assert out.energy == reference.energy
         assert out.stats.wall_seconds > reference.stats.wall_seconds
 
@@ -152,9 +156,30 @@ class TestFaultTolerantSolve:
         one — depends on thread scheduling and shifts the cost
         breakdown, but never the numbers.)"""
         plan = FaultPlan([RankCrash(rank=2, phase="push")])
-        a = run_fig4_ft(molecule, PARAMS, processes=4, fault_plan=plan)
-        b = run_fig4_ft(molecule, PARAMS, processes=4, fault_plan=plan)
+        a = run_fig4_simmpi(molecule, PARAMS, processes=4, fault_plan=plan)
+        b = run_fig4_simmpi(molecule, PARAMS, processes=4, fault_plan=plan)
         assert a.energy == b.energy                  # bitwise
         assert np.array_equal(a.born_radii, b.born_radii)
         assert a.stats.faults == b.stats.faults
         assert a.stats.recoveries == b.stats.recoveries
+
+    @pytest.mark.parametrize("phase, rel", [("born", 0.02),
+                                            ("push", 1e-12),
+                                            ("epol", 1e-12)],
+                             ids=["born", "push", "epol"])
+    def test_atom_division_recovers_from_crash_in_each_phase(
+            self, molecule, atom_reference, phase, rel):
+        """Atom division recovers bit-reproducibly.  A Born-phase
+        recovery re-cuts the dead rank's atom range, which moves the
+        far-field deposits, so that phase is held to the envelope atom
+        division already has across P; a later crash sees the
+        fault-free integrals and changes only the summation order."""
+        plan = FaultPlan([RankCrash(rank=2, phase=phase)])
+        a, b = (run_fig4_simmpi(molecule, PARAMS, processes=4,
+                                work_division="atom", fault_plan=plan)
+                for _ in range(2))
+        assert a.energy == b.energy                  # bitwise
+        assert np.array_equal(a.born_radii, b.born_radii)
+        assert a.stats.faults == 1
+        assert a.stats.recoveries == 1
+        assert a.energy == pytest.approx(atom_reference.energy, rel=rel)

@@ -10,7 +10,7 @@ from repro.parallel.partition import (
     atom_segments,
     leaf_segments,
     segment_bounds,
-    weighted_leaf_segments,
+    weighted_bounds,
 )
 
 
@@ -60,25 +60,19 @@ class TestLeafAndAtomSegments:
 
 class TestWeightedSegments:
     def test_balances_skewed_weights(self):
-        tree = build_octree(
-            np.random.default_rng(1).normal(size=(500, 3)), leaf_size=4)
-        n = len(tree.leaves)
-        w = np.ones(n)
-        w[: n // 10] = 50.0  # heavy head
-        segs = weighted_leaf_segments(tree, 4, w)
-        joined = np.concatenate(segs)
-        assert np.array_equal(np.sort(joined), np.arange(n))
-        loads = [w[s].sum() for s in segs if len(s)]
+        w = np.ones(200)
+        w[:20] = 50.0  # heavy head
+        b = weighted_bounds(w, 4)
+        assert len(b) == 5 and b[0] == 0 and b[-1] == len(w)
+        assert np.all(np.diff(b) >= 0)
+        loads = [w[b[i]:b[i + 1]].sum() for i in range(4)]
         assert max(loads) < 2.0 * (w.sum() / 4)
 
     def test_more_parts_than_leaves(self):
-        tree = build_octree(np.random.default_rng(2).normal(size=(9, 3)),
-                            leaf_size=1)
-        n = len(tree.leaves)
-        segs = weighted_leaf_segments(tree, n + 3, np.ones(n))
-        assert sum(len(s) for s in segs) == n
+        b = weighted_bounds(np.ones(7), 10)
+        assert len(b) == 11 and b[-1] == 7
+        assert np.array_equal(b, segment_bounds(7, 10))
 
-    def test_weight_length_validation(self):
-        tree = build_octree(np.random.default_rng(3).normal(size=(50, 3)))
+    def test_parts_validation(self):
         with pytest.raises(ValueError):
-            weighted_leaf_segments(tree, 2, np.ones(3))
+            weighted_bounds(np.ones(5), 0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import ApproxParams, ParallelConfig
+from repro.config import ApproxParams
 from repro.constants import (
     COULOMB_KCAL,
     EPSILON_SOLVENT,
@@ -70,16 +70,3 @@ class TestApproxParams:
         assert hash(ApproxParams()) == hash(ApproxParams())
         assert ApproxParams() == ApproxParams()
         assert ApproxParams(eps_born=0.5) != ApproxParams()
-
-
-class TestParallelConfig:
-    def test_total_cores(self):
-        assert ParallelConfig(processes=2, threads=6).total_cores == 12
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(processes=0)
-        with pytest.raises(ValueError):
-            ParallelConfig(threads=0)
-        with pytest.raises(ValueError):
-            ParallelConfig(work_division="leafy")
