@@ -304,6 +304,37 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _install_lock_witness(enabled: bool):
+    """Install a runtime LockWitness when ``enabled``.
+
+    Call before any service or fleet is built: the ``named_lock`` /
+    ``named_condition`` factories consult the active witness at
+    construction time, so every serve- and fleet-stack lock is wrapped.
+    """
+    if not enabled:
+        return None
+    from repro.obs import lockwitness
+    return lockwitness.install(lockwitness.LockWitness())
+
+
+def _report_lock_witness(witness, lock_trace: Optional[str] = None
+                         ) -> bool:
+    """Uninstall ``witness``, print its summary and any lock-order
+    cycles, write ``lock_trace``; returns whether a cycle was seen."""
+    if witness is None:
+        return False
+    from repro.obs import lockwitness
+    lockwitness.uninstall()
+    print(witness.summary())
+    if lock_trace:
+        witness.write_chrome_trace(lock_trace)
+        print(f"wrote lock trace to {lock_trace}")
+    found = witness.cycles()
+    for cycle in found:
+        print("lock-order cycle: " + " -> ".join(cycle), file=sys.stderr)
+    return bool(found)
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     if args.serve and args.fleet:
         print("--serve and --fleet are mutually exclusive",
@@ -311,14 +342,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         return 2
     if args.trace:
         obs.enable(reset=True)
-    witness = None
-    if (args.serve or args.fleet) and args.lock_witness:
-        from repro.obs import lockwitness
-
-        # Installed before any service is built so every serve-stack
-        # lock is wrapped (factories consult the active witness at
-        # construction time).
-        witness = lockwitness.install(lockwitness.LockWitness())
+    witness = _install_lock_witness((args.serve or args.fleet)
+                                    and args.lock_witness)
     from repro.faults.chaos import run_chaos
     tier = "serve" if args.serve else "fleet" if args.fleet else "cluster"
     report = run_chaos(tier, seed=args.seed, processes=args.processes,
@@ -334,18 +359,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                                metrics=obs.registry)
         obs.disable()
         print(f"wrote trace to {args.trace}")
-    cyclic = False
-    if witness is not None:
-        from repro.obs import lockwitness
-
-        lockwitness.uninstall()
-        print(witness.summary())
-        found = witness.cycles()
-        if found:
-            cyclic = True
-            for cycle in found:
-                print("lock-order cycle: " + " -> ".join(cycle),
-                      file=sys.stderr)
+    cyclic = _report_lock_witness(witness)
     if not report.all_passed:
         failed = [r.name for r in report.results if not r.passed]
         print(f"FAILED scenarios: {', '.join(failed)}", file=sys.stderr)
@@ -366,190 +380,45 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 1 if cyclic else 0
 
 
-def _cmd_serve_fleet(args: argparse.Namespace) -> int:
-    """``repro serve --shards N`` — the workload through a
-    :class:`~repro.fleet.fleet.ShardedFleet` front door instead of a
-    single service: consistent-hash routing, per-shard breakers,
-    fleet-level admission, heartbeat supervision."""
-    from repro.fleet import ShardedFleet
-    from repro.serve import (
-        QueueFullError,
-        ServiceOverloadedError,
-        SolveResult,
-        load_workload,
-        synthetic_workload,
-    )
-    if args.workload:
-        requests = load_workload(args.workload)
-        source = args.workload
-    else:
-        requests = synthetic_workload(
-            args.synthetic, seed=args.seed, molecules=args.molecules,
-            atoms=args.atoms)
-        source = f"synthetic (seed {args.seed})"
-    obs.enable(reset=True)
-    witness = None
-    if args.lock_witness:
-        from repro.obs import lockwitness
-
-        # Installed before the fleet is built so every serve- and
-        # fleet-stack lock is wrapped.
-        witness = lockwitness.install(lockwitness.LockWitness())
+def _serve_backend(args: argparse.Namespace):
+    """The backend of every ``repro serve`` mode: one
+    :class:`~repro.serve.SolveService`, or with ``--shards N`` a
+    :class:`~repro.fleet.ShardedFleet` (consistent-hash routing,
+    per-shard breakers, heartbeat supervision)."""
+    from repro.serve import AdmissionPolicy, RetryPolicy, SolveService
     admission = None
     if (args.shed_queue_depth is not None
             or args.shed_wait_seconds is not None):
-        from repro.serve import AdmissionPolicy
         admission = AdmissionPolicy(
             max_queue_depth=args.shed_queue_depth,
             max_wait_seconds=args.shed_wait_seconds)
-    fleet = ShardedFleet(
-        shards=args.shards, backend=args.shard_backend,
-        workers_per_shard=args.workers,
-        queue_capacity=args.queue_size, batch_size=args.batch_size,
-        cache_dir=args.cache_dir,
-        cache_bytes=args.cache_mb * 1024 * 1024,
-        admission=admission, supervise=True)
-    tickets = []
-    t0 = time.perf_counter()
-    with obs.span("serve.fleet", cat="serve", shards=args.shards,
-                  requests=len(requests)):
-        for req in requests:
-            try:
-                tickets.append(fleet.submit(req))
-            except ServiceOverloadedError as exc:
-                print(f"shed (overloaded): {exc}", file=sys.stderr)
-            except QueueFullError as exc:
-                print(f"rejected (queue full): {exc}", file=sys.stderr)
-        fleet.drain(timeout=args.drain_timeout)
-    wall = time.perf_counter() - t0
-    collect_deadline = t0 + args.drain_timeout
-    results = []
-    for t in tickets:
-        remaining = max(0.0, collect_deadline - time.perf_counter())
-        try:
-            results.append(t.result(timeout=remaining))
-        except TimeoutError:
-            results.append(SolveResult(
-                key=t.key, status="failed",
-                error=f"result not available within the "
-                      f"{args.drain_timeout:g}s drain budget"))
-    fstats = fleet.stats()
-    shard_stats = fleet.shard_stats()
-    fleet.close()
-
-    ok = sum(1 for r in results if r.status == "ok")
-    failed = sum(1 for r in results if r.status == "failed")
-    table = Table(["requests", "ok", "failed", "coalesced", "shed",
-                   "rerouted", "shards live"],
-                  title=f"fleet: {len(requests)} requests from "
-                        f"{source} — {args.shards} "
-                        f"{args.shard_backend} shard(s), "
-                        f"{args.workers} worker(s)/shard")
-    table.add_row(fstats.submitted, ok, failed, fstats.coalesced,
-                  fstats.shed, fstats.rerouted, fstats.shards_live)
-    print(table.render())
-
-    per = Table(["shard", "dispatched", "completed", "hit rate",
-                 "cache entries"])
-    for sid in sorted(shard_stats):
-        st = shard_stats[sid]
-        per.add_row(sid, fstats.dispatches.get(sid, 0), st.completed,
-                    f"{st.hit_rate:.1%}", st.cache.entries)
-    print(per.render())
-    print(f"throughput: {len(results) / wall:.1f} req/s "
-          f"({wall:.2f} s wall)")
-
-    if args.json:
-        import json
-        doc = {"source": source, "shards": args.shards,
-               "backend": args.shard_backend,
-               "requests": fstats.submitted, "ok": ok,
-               "failed": failed, "coalesced": fstats.coalesced,
-               "shed": fstats.shed, "rerouted": fstats.rerouted,
-               "dispatches": {str(k): v for k, v
-                              in sorted(fstats.dispatches.items())},
-               "throughput_rps": len(results) / wall,
-               "wall_seconds": wall}
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"wrote summary to {args.json}")
-    if args.trace:
-        obs.write_chrome_trace(args.trace, tracer=obs.get_tracer(),
-                               metrics=obs.registry)
-        print(f"wrote trace to {args.trace}")
-    _write_metrics(args)
-    cyclic = False
-    if witness is not None:
-        from repro.obs import lockwitness
-
-        lockwitness.uninstall()
-        print(witness.summary())
-        if args.lock_trace:
-            witness.write_chrome_trace(args.lock_trace)
-            print(f"wrote lock trace to {args.lock_trace}")
-        found = witness.cycles()
-        if found:
-            cyclic = True
-            for cycle in found:
-                print("lock-order cycle: " + " -> ".join(cycle),
-                      file=sys.stderr)
-    obs.disable()
-    if failed:
-        print(f"{failed} failed", file=sys.stderr)
-        return 1
-    return 1 if cyclic else 0
-
-
-def _cmd_serve_http(args: argparse.Namespace) -> int:
-    """``repro serve --http`` — the service (or ``--shards`` fleet)
-    behind the :mod:`repro.edge` HTTP front-end instead of a scripted
-    workload: bearer-token tenancy, per-tenant rate limits, typed JSON
-    errors, redacted request logging (docs/HTTP.md)."""
-    import threading
-
-    from repro.edge import EdgeApp, EdgeServer, TenantRegistry
-    from repro.serve import SolveService
-
-    try:
-        tenants = TenantRegistry.from_specs(
-            args.http_token or ["demo:demo-token"],
-            rate_per_s=args.http_rate, burst=args.http_burst,
-            max_body_bytes=args.http_max_body_kb * 1024)
-    except ValueError as exc:
-        print(f"bad --http-token spec: {exc}", file=sys.stderr)
-        return 2
-    obs.enable(reset=True)
-    admission = None
-    if (args.shed_queue_depth is not None
-            or args.shed_wait_seconds is not None):
-        from repro.serve import AdmissionPolicy
-        admission = AdmissionPolicy(
-            max_queue_depth=args.shed_queue_depth,
-            max_wait_seconds=args.shed_wait_seconds)
+    common = dict(queue_capacity=args.queue_size,
+                  batch_size=args.batch_size, cache_dir=args.cache_dir,
+                  cache_bytes=args.cache_mb * 1024 * 1024,
+                  admission=admission)
     if args.shards is not None:
         from repro.fleet import ShardedFleet
-        backend = ShardedFleet(
-            shards=args.shards, backend=args.shard_backend,
-            workers_per_shard=args.workers,
-            queue_capacity=args.queue_size, batch_size=args.batch_size,
-            cache_dir=args.cache_dir,
-            cache_bytes=args.cache_mb * 1024 * 1024,
-            admission=admission, supervise=True)
-        kind = f"{args.shards}-shard {args.shard_backend} fleet"
-    else:
-        retry = None
-        if args.retries > 1 or args.hedge_after is not None:
-            from repro.serve import RetryPolicy
-            retry = RetryPolicy(max_attempts=max(2, args.retries),
-                                seed=args.seed,
-                                hedge_after_s=args.hedge_after)
-        backend = SolveService(workers=args.workers,
-                               queue_capacity=args.queue_size,
-                               batch_size=args.batch_size,
-                               cache_bytes=args.cache_mb * 1024 * 1024,
-                               cache_dir=args.cache_dir,
-                               retry=retry, admission=admission)
-        kind = f"{args.workers}-worker service"
+        return ShardedFleet(shards=args.shards, backend=args.shard_backend,
+                            workers_per_shard=args.workers,
+                            supervise=True, **common)
+    retry = None
+    if args.retries > 1 or args.hedge_after is not None:
+        retry = RetryPolicy(max_attempts=max(2, args.retries),
+                            seed=args.seed,
+                            hedge_after_s=args.hedge_after)
+    return SolveService(workers=args.workers, retry=retry, **common)
+
+
+def _serve_http(args: argparse.Namespace, backend, tenants) -> None:
+    """``--http``: ``backend`` behind the :mod:`repro.edge` HTTP
+    front-end — bearer-token tenancy, per-tenant rate limits, typed
+    JSON errors, redacted request logging (docs/HTTP.md)."""
+    import threading
+
+    from repro.edge import EdgeApp, EdgeServer
+    kind = (f"{args.shards}-shard {args.shard_backend} fleet"
+            if args.shards is not None
+            else f"{args.workers}-worker service")
     log_stream = (open(args.request_log, "w", encoding="utf-8")
                   if args.request_log else None)
     app = EdgeApp(backend, tenants, seed=args.seed,
@@ -567,79 +436,104 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             except KeyboardInterrupt:
                 print("interrupted; draining", file=sys.stderr)
     finally:
+        # Finish in-flight solves before the request log closes under
+        # the handlers that still have to record them.
         backend.close()
         if log_stream is not None:
             log_stream.close()
     print(f"served {len(app.log)} request(s)")
     if args.request_log:
         print(f"wrote request log to {args.request_log}")
-    _write_metrics(args)
-    obs.disable()
-    return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    if args.http:
-        return _cmd_serve_http(args)
-    if args.shards is not None:
-        return _cmd_serve_fleet(args)
-    from repro.serve import (
-        QueueFullError,
-        ServiceOverloadedError,
-        SolveResult,
-        SolveService,
-        load_workload,
-        synthetic_workload,
-    )
-    if args.workload:
-        requests = load_workload(args.workload)
-        source = args.workload
-    else:
-        requests = synthetic_workload(
-            args.synthetic, seed=args.seed, molecules=args.molecules,
-            atoms=args.atoms)
-        source = f"synthetic (seed {args.seed})"
-    obs.enable(reset=True)
-    witness = None
-    if args.lock_witness:
-        from repro.obs import lockwitness
+def _service_summary(args: argparse.Namespace, service, source: str,
+                     requests: int, ok: int) -> dict:
+    stats = service.stats()
+    table = Table(["requests", "ok", "degraded", "failed", "expired",
+                   "coalesced", "rejected"],
+                  title=f"serve: {requests} requests from {source} — "
+                        f"{args.workers} worker(s), queue "
+                        f"{args.queue_size}, batch {args.batch_size}")
+    table.add_row(stats.submitted, ok, stats.degraded, stats.failed,
+                  stats.expired, stats.coalesced, stats.rejected)
+    print(table.render())
+    lat = Table(["metric", "p50 (ms)", "p99 (ms)"])
+    lat.add_row("queue wait", stats.wait_p50 * 1e3, stats.wait_p99 * 1e3)
+    lat.add_row("service", stats.service_p50 * 1e3,
+                stats.service_p99 * 1e3)
+    print(lat.render())
+    levels = ", ".join(f"{k}: {v}"
+                       for k, v in sorted(stats.by_level.items()))
+    print(f"cache: hit rate {stats.hit_rate:.1%} "
+          f"({stats.cache.hits} hits / {stats.cache.misses} misses, "
+          f"{stats.cache.evictions} evictions, "
+          f"{stats.cache.entries} entries, "
+          f"{stats.cache.bytes / 1e6:.1f} MB)")
+    print(f"served from: {levels}")
+    return {"workers": args.workers, "requests": stats.submitted,
+            "degraded": stats.degraded, "failed": stats.failed,
+            "expired": stats.expired, "coalesced": stats.coalesced,
+            "rejected": stats.rejected, "hit_rate": stats.hit_rate,
+            "by_level": dict(stats.by_level),
+            "wait_p50_ms": stats.wait_p50 * 1e3,
+            "wait_p99_ms": stats.wait_p99 * 1e3,
+            "service_p50_ms": stats.service_p50 * 1e3,
+            "service_p99_ms": stats.service_p99 * 1e3}
 
-        # Installed before the service is built: the named_lock /
-        # named_condition factories consult the active witness at
-        # construction time, so every serve-stack lock is wrapped.
-        witness = lockwitness.install(lockwitness.LockWitness())
-    retry = None
-    if args.retries > 1 or args.hedge_after is not None:
-        from repro.serve import RetryPolicy
-        retry = RetryPolicy(max_attempts=max(2, args.retries),
-                            seed=args.seed,
-                            hedge_after_s=args.hedge_after)
-    admission = None
-    if (args.shed_queue_depth is not None
-            or args.shed_wait_seconds is not None):
-        from repro.serve import AdmissionPolicy
-        admission = AdmissionPolicy(
-            max_queue_depth=args.shed_queue_depth,
-            max_wait_seconds=args.shed_wait_seconds)
-    service = SolveService(workers=args.workers,
-                           queue_capacity=args.queue_size,
-                           batch_size=args.batch_size,
-                           cache_bytes=args.cache_mb * 1024 * 1024,
-                           cache_dir=args.cache_dir,
-                           retry=retry, admission=admission)
+
+def _fleet_summary(args: argparse.Namespace, fleet, source: str,
+                   requests: int, ok: int, results: list) -> dict:
+    fstats = fleet.stats()
+    shard_stats = fleet.shard_stats()
+    failed = sum(1 for r in results if r.status == "failed")
+    table = Table(["requests", "ok", "failed", "coalesced", "shed",
+                   "rerouted", "shards live"],
+                  title=f"fleet: {requests} requests from {source} — "
+                        f"{args.shards} {args.shard_backend} shard(s), "
+                        f"{args.workers} worker(s)/shard")
+    table.add_row(fstats.submitted, ok, failed, fstats.coalesced,
+                  fstats.shed, fstats.rerouted, fstats.shards_live)
+    print(table.render())
+    per = Table(["shard", "dispatched", "completed", "hit rate",
+                 "cache entries"])
+    for sid in sorted(shard_stats):
+        st = shard_stats[sid]
+        per.add_row(sid, fstats.dispatches.get(sid, 0), st.completed,
+                    f"{st.hit_rate:.1%}", st.cache.entries)
+    print(per.render())
+    return {"shards": args.shards, "backend": args.shard_backend,
+            "requests": fstats.submitted, "failed": failed,
+            "expired": sum(1 for r in results if r.status == "expired"),
+            "coalesced": fstats.coalesced, "shed": fstats.shed,
+            "rerouted": fstats.rerouted,
+            "dispatches": {str(k): v for k, v
+                           in sorted(fstats.dispatches.items())}}
+
+
+def _serve_scripted(args: argparse.Namespace, backend, requests: list,
+                    source: str) -> bool:
+    """Submit → drain → collect ``requests`` on ``backend``, print the
+    summary and write ``--json``; returns whether any request failed
+    or expired."""
+    from repro.fleet import ShardedFleet
+    from repro.serve import (QueueFullError, ServiceOverloadedError,
+                             SolveResult)
+    fleet = isinstance(backend, ShardedFleet)
+    # The router routes around a full shard; it never waits on one.
+    submit_kw = {} if fleet else {"wait_timeout": args.submit_timeout}
+    size = {"shards": args.shards} if fleet else {"workers": args.workers}
     tickets = []
     t0 = time.perf_counter()
-    with obs.span("serve", cat="serve", workers=args.workers,
-                  requests=len(requests)):
+    with obs.span("serve.fleet" if fleet else "serve", cat="serve",
+                  requests=len(requests), **size):
         for req in requests:
             try:
-                tickets.append(
-                    service.submit(req, wait_timeout=args.submit_timeout))
+                tickets.append(backend.submit(req, **submit_kw))
             except ServiceOverloadedError as exc:
                 print(f"shed (overloaded): {exc}", file=sys.stderr)
             except QueueFullError as exc:
                 print(f"rejected (queue full): {exc}", file=sys.stderr)
-        service.drain(timeout=args.drain_timeout)
+        backend.drain(timeout=args.drain_timeout)
     wall = time.perf_counter() - t0
     # Collect against the *remaining* drain budget, not a hardcoded
     # per-ticket second: a slow straggler that drain() already waited
@@ -657,79 +551,71 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 key=t.key, status="failed",
                 error=f"result not available within the "
                       f"{args.drain_timeout:g}s drain budget"))
-    stats = service.stats()
-    service.close()
-
-    table = Table(["requests", "ok", "degraded", "failed", "expired",
-                   "coalesced", "rejected"],
-                  title=f"serve: {len(requests)} requests from {source} — "
-                        f"{args.workers} worker(s), queue "
-                        f"{args.queue_size}, batch {args.batch_size}")
     ok = sum(1 for r in results if r.status == "ok")
-    table.add_row(stats.submitted, ok, stats.degraded, stats.failed,
-                  stats.expired, stats.coalesced, stats.rejected)
-    print(table.render())
-
-    lat = Table(["metric", "p50 (ms)", "p99 (ms)"])
-    lat.add_row("queue wait", stats.wait_p50 * 1e3, stats.wait_p99 * 1e3)
-    lat.add_row("service", stats.service_p50 * 1e3,
-                stats.service_p99 * 1e3)
-    print(lat.render())
-
-    levels = ", ".join(f"{k}: {v}"
-                       for k, v in sorted(stats.by_level.items()))
-    print(f"cache: hit rate {stats.hit_rate:.1%} "
-          f"({stats.cache.hits} hits / {stats.cache.misses} misses, "
-          f"{stats.cache.evictions} evictions, "
-          f"{stats.cache.entries} entries, "
-          f"{stats.cache.bytes / 1e6:.1f} MB)")
-    print(f"served from: {levels}")
+    if fleet:
+        doc = _fleet_summary(args, backend, source, len(requests), ok,
+                             results)
+    else:
+        doc = _service_summary(args, backend, source, len(requests), ok)
     print(f"throughput: {len(results) / wall:.1f} req/s "
           f"({wall:.2f} s wall)")
-
+    doc.update(source=source, ok=ok, throughput_rps=len(results) / wall,
+               wall_seconds=wall)
     if args.json:
         import json
-        doc = {"source": source, "workers": args.workers,
-               "requests": stats.submitted, "ok": ok,
-               "degraded": stats.degraded, "failed": stats.failed,
-               "expired": stats.expired, "coalesced": stats.coalesced,
-               "rejected": stats.rejected, "hit_rate": stats.hit_rate,
-               "by_level": dict(stats.by_level),
-               "wait_p50_ms": stats.wait_p50 * 1e3,
-               "wait_p99_ms": stats.wait_p99 * 1e3,
-               "service_p50_ms": stats.service_p50 * 1e3,
-               "service_p99_ms": stats.service_p99 * 1e3,
-               "throughput_rps": len(results) / wall,
-               "wall_seconds": wall}
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
         print(f"wrote summary to {args.json}")
+    if doc["failed"] or doc["expired"]:
+        print(f"{doc['failed']} failed, {doc['expired']} expired",
+              file=sys.stderr)
+        return True
+    return False
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    if args.shards is not None and (args.retries > 1
+                                    or args.hedge_after is not None):
+        print("error: --retries/--hedge-after configure a single "
+              "service; shards take no retry policy (drop --shards)",
+              file=sys.stderr)
+        return 2
+    if args.http:
+        from repro.edge import TenantRegistry
+        try:
+            tenants = TenantRegistry.from_specs(
+                args.http_token or ["demo:demo-token"],
+                rate_per_s=args.http_rate, burst=args.http_burst,
+                max_body_bytes=args.http_max_body_kb * 1024)
+        except ValueError as exc:
+            print(f"bad --http-token spec: {exc}", file=sys.stderr)
+            return 2
+    else:
+        from repro.serve import load_workload, synthetic_workload
+        if args.workload:
+            requests = load_workload(args.workload)
+            source = args.workload
+        else:
+            requests = synthetic_workload(
+                args.synthetic, seed=args.seed, molecules=args.molecules,
+                atoms=args.atoms)
+            source = f"synthetic (seed {args.seed})"
+    obs.enable(reset=True)
+    witness = _install_lock_witness(args.lock_witness)
+    failed = False
+    with _serve_backend(args) as backend:
+        if args.http:
+            _serve_http(args, backend, tenants)
+        else:
+            failed = _serve_scripted(args, backend, requests, source)
     if args.trace:
         obs.write_chrome_trace(args.trace, tracer=obs.get_tracer(),
                                metrics=obs.registry)
         print(f"wrote trace to {args.trace}")
     _write_metrics(args)
-    cyclic = False
-    if witness is not None:
-        from repro.obs import lockwitness
-
-        lockwitness.uninstall()
-        print(witness.summary())
-        if args.lock_trace:
-            witness.write_chrome_trace(args.lock_trace)
-            print(f"wrote lock trace to {args.lock_trace}")
-        found = witness.cycles()
-        if found:
-            cyclic = True
-            for cycle in found:
-                print("lock-order cycle: " + " -> ".join(cycle),
-                      file=sys.stderr)
+    cyclic = _report_lock_witness(witness, args.lock_trace)
     obs.disable()
-    if stats.failed or stats.expired:
-        print(f"{stats.failed} failed, {stats.expired} expired",
-              file=sys.stderr)
-        return 1
-    return 1 if cyclic else 0
+    return 1 if failed or cyclic else 0
 
 
 def cmd_packages(args: argparse.Namespace) -> int:
@@ -928,20 +814,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--molecules", type=int, default=3,
                    help="synthetic molecule pool size (default 3)")
     p.add_argument("--submit-timeout", type=float, default=30.0,
-                   help="seconds to wait for queue space before "
-                        "rejecting (default 30)")
+                   help="single service: seconds to wait for queue "
+                        "space before rejecting (default 30); a "
+                        "fleet's router routes around a full shard")
     p.add_argument("--drain-timeout", type=float, default=600.0,
                    help="seconds to wait for the queue to drain; also "
                         "bounds result collection (default 600)")
     p.add_argument("--retries", type=int, default=1,
-                   help="max delivery attempts per request; >1 "
-                        "enables bounded retry with seeded "
+                   help="single service: max delivery attempts per "
+                        "request; >1 enables bounded retry with seeded "
                         "exponential backoff (default 1 = off)")
     p.add_argument("--hedge-after", type=float, default=None,
                    metavar="SECONDS",
-                   help="hedge a straggling attempt after this many "
-                        "seconds; first completed result wins "
-                        "(default off)")
+                   help="single service: hedge a straggling attempt "
+                        "after this many seconds; first completed "
+                        "result wins (default off)")
     p.add_argument("--shed-queue-depth", type=int, default=None,
                    metavar="N", help="shed submissions (typed "
                         "ServiceOverloadedError with a retry-after "
@@ -953,8 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", type=str, default=None, metavar="FILE",
                    help="write the latency/hit-rate summary as JSON")
     p.add_argument("--lock-witness", action="store_true",
-                   help="wrap the serve-stack locks in the runtime "
-                        "LockWitness: record the acquisition-order "
+                   help="wrap the serve/fleet locks (any mode) in "
+                        "the runtime LockWitness: record the order "
                         "graph, assert it is acyclic at exit (exit 1 "
                         "on a cycle) and export lock.held_seconds / "
                         "lock.contention metrics")

@@ -56,10 +56,6 @@ class StealStats:
     inter_steals: int = 0
 
     @property
-    def intra_steals(self) -> int:
-        return self.steals - self.inter_steals
-
-    @property
     def utilization(self) -> float:
         """busy / (p × makespan) ∈ (0, 1]."""
         p = len(self.per_worker_busy)
@@ -218,10 +214,6 @@ class WorkStealingSim:
             failed_steals=failed,
             inter_steals=inter,
         )
-
-    def makespan(self, task_costs: Sequence[float]) -> float:
-        """Convenience: just the virtual completion time."""
-        return self.run(task_costs).makespan
 
 
 def static_block_makespan(task_costs: Sequence[float], workers: int

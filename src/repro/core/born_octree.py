@@ -77,12 +77,6 @@ class PerSourceCounts:
     far: np.ndarray
     exact_interactions: np.ndarray
 
-    def task_ops(self, far_weight: float, exact_weight: float,
-                 visit_weight: float = 1.0) -> np.ndarray:
-        """Weighted per-leaf operation totals."""
-        return (visit_weight * self.visits + far_weight * self.far
-                + exact_weight * self.exact_interactions)
-
 
 @dataclass
 class BornResult:

@@ -82,8 +82,15 @@ class ChargeBuckets:
 def build_charge_buckets(tree: Octree,
                          charges_sorted: np.ndarray,
                          born_sorted: np.ndarray,
-                         eps: float) -> ChargeBuckets:
-    """Bucket every node's charge by Born radius on the (1+ε) grid."""
+                         eps: float, *,
+                         r_min: Optional[float] = None,
+                         r_max: Optional[float] = None) -> ChargeBuckets:
+    """Bucket every node's charge by Born radius on the (1+ε) grid.
+
+    The grid spans ``[r_min, r_max]``, by default the extremes of
+    ``born_sorted``; a rank holding part of the atoms passes the global
+    extremes so every rank's tables share one grid.
+    """
     from repro.guard.errors import NumericalGuardError
     R = np.asarray(born_sorted, dtype=np.float64)
     # NaN compares False against <= 0, so non-finite entries need their
@@ -97,8 +104,8 @@ def build_charge_buckets(tree: Octree,
         raise NumericalGuardError(
             "Born radii must be positive", phase="epol",
             indices=np.flatnonzero(R <= 0))
-    r_min = float(R.min())
-    r_max = float(R.max())
+    r_min = float(R.min()) if r_min is None else r_min
+    r_max = float(R.max()) if r_max is None else r_max
     base = 1.0 + eps
     if r_max > r_min:
         m_eps = int(np.floor(np.log(r_max / r_min) / np.log(base))) + 1

@@ -33,7 +33,6 @@ from repro.edge.app import (
     EdgeResponse,
     SECURITY_HEADERS,
     result_to_json,
-    workload_bodies,
 )
 from repro.edge.auth import (
     DEFAULT_MAX_BODY_BYTES,
@@ -71,7 +70,6 @@ __all__ = [
     "EdgeResponse",
     "SECURITY_HEADERS",
     "result_to_json",
-    "workload_bodies",
     "TenantConfig",
     "TenantRegistry",
     "DEFAULT_MAX_BODY_BYTES",

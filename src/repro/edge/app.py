@@ -20,12 +20,13 @@ The backend is either a :class:`~repro.serve.service.SolveService` or
 a :class:`~repro.fleet.fleet.ShardedFleet`; both share the submit/
 ticket surface, so one app serves both ``--shards 1`` and a fleet.
 
-Solve bodies are *recipes* (the workload-file entry schema:
-``atoms``/``seed``/``capsid`` plus ε knobs), not coordinate arrays:
-the molecule is rebuilt seeded on the server, so an HTTP request's
-content fingerprint — and therefore its cache key, coalescing and
-bitwise energy — is identical to the same request submitted
-in-process.
+Solve bodies are *recipes* (``atoms``/``seed``/``capsid`` plus ε
+knobs), not coordinate arrays, decoded by the same
+:func:`~repro.serve.workload.recipe_request` that reads workload
+files: the molecule is rebuilt seeded on the server, so an HTTP
+request's content fingerprint — and therefore its cache key,
+coalescing and bitwise energy — is identical to the same request
+submitted in-process.
 """
 
 from __future__ import annotations
@@ -34,12 +35,9 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, IO, List, Optional, Tuple, Union
+from typing import Callable, Dict, IO, Optional, Tuple, Union
 
 from repro import obs
-from repro.config import ApproxParams
-from repro.constants import TAU_WATER
 from repro.edge.auth import TenantConfig, TenantRegistry
 from repro.edge.errors import (
     BadRequestError,
@@ -55,14 +53,13 @@ from repro.edge.ratelimit import RateLimiter
 from repro.edge.redaction import body_digest
 from repro.edge.reqlog import RequestLog
 from repro.fleet.fleet import ShardedFleet
-from repro.molecules.generator import synthetic_protein, virus_capsid
-from repro.molecules.molecule import Molecule
 from repro.serve.errors import QueueFullError, ServiceOverloadedError
 from repro.serve.request import SolveRequest, SolveResult
 from repro.serve.service import LATENCY_BOUNDS_SECONDS, SolveService
+from repro.serve.workload import RecipeBook, recipe_request
 
 __all__ = ["EdgeApp", "EdgeResponse", "SECURITY_HEADERS",
-           "result_to_json", "workload_bodies"]
+           "result_to_json"]
 
 #: Hardening headers attached to every response.
 SECURITY_HEADERS = {
@@ -72,18 +69,6 @@ SECURITY_HEADERS = {
     "Referrer-Policy": "no-referrer",
     "Cache-Control": "no-store",
 }
-
-#: Fields a solve body may carry (the workload-entry schema minus
-#: ``repeat``, which only makes sense in a trace file).
-_SOLVE_FIELDS = frozenset({
-    "atoms", "seed", "capsid", "eps_born", "eps_epol", "approx_math",
-    "method", "priority", "deadline_s", "tau", "idempotency_key",
-    "tenant",
-})
-
-#: Largest recipe the edge will build (synthetic molecules are O(atoms)
-#: to generate; this is a request-hygiene bound, not a solver limit).
-MAX_ATOMS = 20_000
 
 #: Distinct molecule recipes kept in memory (FIFO; a re-request after
 #: eviction rebuilds the seeded molecule bit-identically).
@@ -129,38 +114,6 @@ def result_to_json(result: SolveResult) -> Dict[str, object]:
     }
 
 
-def workload_bodies(path: Union[str, Path]
-                    ) -> List[Tuple[str, Dict[str, object]]]:
-    """Explode a workload file into ``(tenant, solve body)`` pairs.
-
-    The repeat-expansion mirror of
-    :func:`repro.serve.workload.load_workload`: each entry's
-    ``repeat`` becomes that many identical bodies, every body keeps
-    the entry's ``tenant`` (default ``"default"``), and the ``repeat``
-    /``tenant`` keys themselves are stripped — what remains is exactly
-    what ``POST /v1/solve`` accepts, so a recorded multi-tenant trace
-    replays through the edge verbatim.
-    """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = doc.get("requests", []) if isinstance(doc, dict) else doc
-    if not isinstance(entries, list) or not entries:
-        raise ValueError(f"{path}: expected a non-empty list of "
-                         f"request entries (or {{'requests': [...]}})")
-    out: List[Tuple[str, Dict[str, object]]] = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "atoms" not in entry:
-            raise ValueError(f"{path}: entry {i} must be an object "
-                             f"with at least an 'atoms' field")
-        tenant = str(entry.get("tenant", "default"))
-        body = {k: v for k, v in entry.items()
-                if k not in ("repeat", "tenant")}
-        # One dict per repeat: list-multiplication would alias a single
-        # body object across every repeated entry.
-        out.extend((tenant, dict(body))
-                   for _ in range(max(1, int(entry.get("repeat", 1)))))
-    return out
-
-
 class EdgeApp:
     """Routing + middleware over one serve/fleet backend."""
 
@@ -181,11 +134,7 @@ class EdgeApp:
         self.log = RequestLog(seed=seed, clock=clock,
                               stream=log_stream)
         self.jobs = JobTable(capacity=job_capacity)
-        self._mol_lock = obs.named_lock("edge.app._mol_lock")
-        self._molecules: Dict[Tuple[int, int, bool], Molecule] = \
-            {}                                 # guarded-by: _mol_lock
-        self._mol_order: List[Tuple[int, int, bool]] = \
-            []                                 # guarded-by: _mol_lock
+        self._recipes = RecipeBook(capacity=MAX_RECIPES)
 
     # -- transport surface ------------------------------------------------
 
@@ -413,86 +362,18 @@ class EdgeApp:
             raise BadRequestError(
                 "solve body must be a JSON object",
                 hint="see docs/HTTP.md for the solve schema")
-        unknown = sorted(set(doc) - _SOLVE_FIELDS)
-        if unknown:
-            raise BadRequestError(
-                f"unknown solve field(s): {', '.join(unknown)}",
-                hint=f"allowed fields: "
-                     f"{', '.join(sorted(_SOLVE_FIELDS))}")
         body_tenant = doc.get("tenant")
         if body_tenant is not None and body_tenant != tenant.name:
             raise BadRequestError(
                 f"body names tenant {body_tenant!r} but the bearer "
                 f"token belongs to {tenant.name!r}",
                 hint="drop the body field or use the matching token")
-        if "atoms" not in doc:
-            raise BadRequestError(
-                "solve body needs an 'atoms' field",
-                hint="molecules are seeded recipes: atoms + seed "
-                     "(+ capsid)")
         try:
-            atoms = int(doc["atoms"])
-            seed = int(doc.get("seed", 0))
-            capsid = bool(doc.get("capsid", False))
-            params = ApproxParams(
-                eps_born=float(doc.get("eps_born", 0.9)),
-                eps_epol=float(doc.get("eps_epol", 0.9)),
-                approx_math=bool(doc.get("approx_math", False)))
-            priority = int(doc.get("priority", 0))
-            deadline_s = doc.get("deadline_s")
-            deadline = None if deadline_s is None else float(deadline_s)
-            tau = float(doc.get("tau", TAU_WATER))
-            raw_key = str(doc.get("idempotency_key", ""))
-            method = str(doc.get("method", "octree"))
-        except (TypeError, ValueError) as exc:
-            raise BadRequestError(
-                f"bad solve field: {exc}",
-                hint="numeric fields must be JSON numbers") from exc
-        if not 1 <= atoms <= MAX_ATOMS:
-            raise BadRequestError(
-                f"atoms must be in [1, {MAX_ATOMS}], got {atoms}",
-                hint="split larger systems or raise MAX_ATOMS "
-                     "server-side")
-        molecule = self._molecule(atoms, seed, capsid)
-        # The serve tier coalesces/caches on SolveRequest.key(), which
-        # returns an explicit idempotency_key verbatim.  Namespace
-        # client-supplied keys per tenant so tenant B replaying tenant
-        # A's key can never coalesce onto (or poison the cache with)
-        # A's result.
-        idempotency_key = f"{tenant.name}:{raw_key}" if raw_key else ""
-        try:
-            return SolveRequest(
-                molecule=molecule, params=params, method=method,
-                priority=priority, deadline_s=deadline,
-                idempotency_key=idempotency_key, tau=tau,
-                tenant=tenant.name)
+            return recipe_request(doc, self._recipes, tenant.name)
         except ValueError as exc:
-            raise BadRequestError(str(exc)) from exc
-
-    def _molecule(self, atoms: int, seed: int,
-                  capsid: bool) -> Molecule:
-        """Recipe-cached seeded molecule (same recipe semantics as
-        :mod:`repro.serve.workload`, so fingerprints line up)."""
-        recipe = (int(atoms), int(seed), bool(capsid))
-        with self._mol_lock:
-            mol = self._molecules.get(recipe)
-        if mol is not None:
-            return mol
-        # Build outside the lock (O(atoms) generation must not stall
-        # other requests); a racing duplicate build is harmless — the
-        # seeded generator is deterministic, so last-write-wins keeps
-        # the same fingerprint.
-        mol = (virus_capsid(recipe[0], seed=recipe[1]) if capsid
-               else synthetic_protein(recipe[0], seed=recipe[1]))
-        with self._mol_lock:
-            if recipe not in self._molecules:
-                self._molecules[recipe] = mol
-                self._mol_order.append(recipe)
-                while len(self._mol_order) > MAX_RECIPES:
-                    oldest = self._mol_order.pop(0)
-                    del self._molecules[oldest]
-            mol = self._molecules[recipe]
-        return mol
+            raise BadRequestError(
+                str(exc),
+                hint="see docs/HTTP.md for the solve schema") from exc
 
     # -- responses --------------------------------------------------------
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 #: Bondi van der Waals radii in Å for the elements found in proteins.
 VDW_RADII: Dict[str, float] = {
     "H": 1.20,
@@ -20,16 +18,6 @@ VDW_RADII: Dict[str, float] = {
     "O": 1.52,
     "S": 1.80,
     "P": 1.80,
-}
-
-#: Atomic masses (amu), used only for centre-of-mass bookkeeping.
-MASSES: Dict[str, float] = {
-    "H": 1.008,
-    "C": 12.011,
-    "N": 14.007,
-    "O": 15.999,
-    "S": 32.06,
-    "P": 30.974,
 }
 
 #: Rough element composition of an average protein residue
@@ -56,18 +44,3 @@ TYPICAL_ABS_CHARGE: Dict[str, float] = {
     "P": 0.80,
 }
 
-
-def element_radii(elements: np.ndarray) -> np.ndarray:
-    """Map an array of element symbols to Bondi radii.
-
-    Unknown symbols fall back to carbon's radius, matching the lenient
-    behaviour of PDB-driven pipelines.
-    """
-    carbon = VDW_RADII["C"]
-    return np.array([VDW_RADII.get(e, carbon) for e in elements], dtype=np.float64)
-
-
-def element_masses(elements: np.ndarray) -> np.ndarray:
-    """Map element symbols to atomic masses (carbon fallback)."""
-    carbon = MASSES["C"]
-    return np.array([MASSES.get(e, carbon) for e in elements], dtype=np.float64)

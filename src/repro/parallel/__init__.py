@@ -8,12 +8,6 @@ from repro.parallel.partition import (
 )
 from repro.parallel.profile import WorkProfile
 from repro.parallel.distributed import run_fig4_simmpi, simulate_fig4
-from repro.parallel.drivers import (
-    run_oct_cilk,
-    run_oct_mpi,
-    run_oct_hybrid,
-    DriverResult,
-)
 
 __all__ = [
     "segment_bounds",
@@ -23,8 +17,4 @@ __all__ = [
     "WorkProfile",
     "run_fig4_simmpi",
     "simulate_fig4",
-    "run_oct_cilk",
-    "run_oct_mpi",
-    "run_oct_hybrid",
-    "DriverResult",
 ]

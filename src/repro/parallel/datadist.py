@@ -48,7 +48,8 @@ from repro.core.born_octree import (
     push_integrals_to_atoms,
     qleaf_aggregates,
 )
-from repro.core.energy_octree import approx_epol_for_leaves
+from repro.core.energy_octree import (approx_epol_for_leaves,
+                                      build_charge_buckets)
 from repro.core.gb import (born_integral_block, energy_prefactor,
                            inv_fgb_still, inv_r6, pair_energy_matrix)
 from repro.molecules.molecule import Molecule
@@ -419,43 +420,22 @@ def run_data_distributed(molecule: Molecule,
         R_local = atoms_tree.scatter_to_original(radii_sorted)
 
         # ---- energy phase ---------------------------------------------
-        # Global bucket geometry needs global R_min/R_max.
-        r_min = comm.allreduce(float(R_local.min()), op="min")
-        r_max = comm.allreduce(float(R_local.max()), op="max")
-        base = 1.0 + params.eps_epol
-        if r_max > r_min:
-            m_eps = int(np.floor(np.log(r_max / r_min)
-                                 / np.log(base))) + 1
-        else:
-            m_eps = 1
-        powers = r_min * base ** np.arange(m_eps)
-        products = np.outer(powers, powers)
-
+        # Local rows vs local tree: the work-division kernel over
+        # buckets on the *global* grid (global R_min/R_max).
         q_sorted = local.charges[atoms_tree.perm]
         R_sorted = R_local[atoms_tree.perm]
-        bucket_idx = np.zeros(local.natoms, dtype=np.int64)
-        if m_eps > 1:
-            bucket_idx = np.clip(
-                (np.log(R_sorted / r_min) / np.log(base)).astype(np.int64),
-                0, m_eps - 1)
-        cum = np.zeros((local.natoms + 1, m_eps), dtype=np.float64)
-        np.add.at(cum, (np.arange(local.natoms) + 1, bucket_idx), q_sorted)
-        cum = np.cumsum(cum, axis=0)
-        table = cum[atoms_tree.end] - cum[atoms_tree.start]
-
-        # Local rows vs local tree: reuse the work-division kernel with
-        # a locally-built ChargeBuckets on the *global* grid.
-        from repro.core.energy_octree import ChargeBuckets
-        buckets = ChargeBuckets(table=table, r_min=r_min, r_max=r_max,
-                                base=base, products=products)
+        buckets = build_charge_buckets(
+            atoms_tree, q_sorted, R_sorted, params.eps_epol,
+            r_min=comm.allreduce(float(R_local.min()), op="min"),
+            r_max=comm.allreduce(float(R_local.max()), op="max"))
         raw, cnt2, _ = approx_epol_for_leaves(
             atoms_tree, q_sorted, R_sorted, buckets, params)
         comm.compute(cost.epol_compute_seconds(
             cnt2.frontier_visits, cnt2.far_evaluations,
-            cnt2.exact_interactions, m_eps, params.approx_math))
+            cnt2.exact_interactions, buckets.nbuckets, params.approx_math))
 
         # Summary skeleton exchange for remote energy.
-        my_asum = AtomTreeSummary.from_tree(atoms_tree, table)
+        my_asum = AtomTreeSummary.from_tree(atoms_tree, buckets.table)
         all_asum: List[AtomTreeSummary] = comm.allgather(my_asum)
         summary_bytes += sum(s.nbytes() for s in all_asum)
 
@@ -464,7 +444,8 @@ def run_data_distributed(molecule: Molecule,
             if s == comm.rank:
                 continue
             part, need = _energy_vs_remote_tree(
-                atoms_tree, table, all_asum[s], products, params)
+                atoms_tree, buckets.table, all_asum[s], buckets.products,
+                params)
             raw += part
             need_atoms[s] = need
 
@@ -498,8 +479,8 @@ def run_data_distributed(molecule: Molecule,
                     atoms_tree.points[vsl], q_sorted[vsl], R_sorted[vsl],
                     gp, gq, gR, approx_math=params.approx_math)
                 inter += (vsl.stop - vsl.start) * len(gp)
-            comm.compute(cost.epol_compute_seconds(0, 0, inter, m_eps,
-                                                   params.approx_math))
+            comm.compute(cost.epol_compute_seconds(
+                0, 0, inter, buckets.nbuckets, params.approx_math))
 
         comm.charge_memory(block_bytes + summary_bytes + ghost_bytes)
         total_raw = comm.reduce(raw, root=0)

@@ -1,4 +1,5 @@
-"""Workload loading: tenant attribution survives every expansion."""
+"""Workload loading: one recipe decoder, tenant attribution survives
+every expansion."""
 
 from __future__ import annotations
 
@@ -6,8 +7,8 @@ import json
 
 import pytest
 
-from repro.edge import workload_bodies
-from repro.serve import load_workload, synthetic_workload
+from repro.constants import TAU_WATER
+from repro.serve import load_workload
 
 TRACE = {
     "requests": [
@@ -41,40 +42,31 @@ def test_tenant_round_trips_through_repeat_expansion(trace_file):
     assert requests[0].tenant != requests[5].tenant
 
 
-def test_workload_bodies_mirrors_load_workload(trace_file):
-    requests = load_workload(trace_file)
-    bodies = workload_bodies(trace_file)
-    assert len(bodies) == len(requests)
-    assert [t for t, _ in bodies] == [r.tenant for r in requests]
-    for (tenant, body), req in zip(bodies, requests):
-        # The body is the pure solve schema: expansion/attribution
-        # keys are stripped, recipe keys are preserved verbatim.
-        assert "repeat" not in body and "tenant" not in body
-        assert int(body.get("priority", 0)) == req.priority
+def _write(tmp_path, entries):
+    path = tmp_path / "wl.json"
+    path.write_text(json.dumps({"requests": entries}), encoding="utf-8")
+    return path
 
 
-def test_workload_bodies_repeats_are_independent_dicts(trace_file):
-    """Repeat expansion must copy the body per entry — mutating one
-    replayed body must not bleed into its siblings."""
-    bodies = workload_bodies(trace_file)
-    bodies[0][1]["seed"] = 999
-    assert bodies[1][1]["seed"] == 1
-    assert bodies[2][1]["seed"] == 1
+@pytest.mark.parametrize("bad", [{"atoms": 80, "bogus": 1},
+                                 {"atoms": 0},
+                                 {"atoms": "many"}])
+def test_bad_entry_names_its_index(tmp_path, bad):
+    path = _write(tmp_path, [{"atoms": 80}, bad])
+    with pytest.raises(ValueError, match="entry 1"):
+        load_workload(path)
 
 
-def test_synthetic_workload_tenants_draw_is_appended():
-    plain = synthetic_workload(12, seed=9, atoms=60)
-    tagged = synthetic_workload(12, seed=9, atoms=60,
-                                tenants=["a", "b", "c"])
-    assert all(r.tenant == "default" for r in plain)
-    assert {r.tenant for r in tagged} <= {"a", "b", "c"}
-    assert len({r.tenant for r in tagged}) > 1
-    # The tenant draw happens after the original draws, so the rest of
-    # the stream is unchanged — same molecules, ε grid, priorities.
-    for p, t in zip(plain, tagged):
-        assert p.molecule.natoms == t.molecule.natoms
-        assert p.params.eps_epol == t.params.eps_epol
-        assert p.priority == t.priority
+def test_idempotency_key_is_tenant_namespaced_and_tau_arrives(tmp_path):
+    path = _write(tmp_path, [
+        {"atoms": 80, "idempotency_key": "k", "tenant": "acme",
+         "tau": 0.5},
+        {"atoms": 80, "idempotency_key": "k"},
+        {"atoms": 80},
+    ])
+    acme, default, plain = load_workload(path)
+    assert acme.key() == "acme:k" and default.key() == "default:k"
+    assert acme.tau == 0.5 and plain.tau == TAU_WATER
 
 
 def test_bad_workload_files_are_rejected(tmp_path):
@@ -82,11 +74,7 @@ def test_bad_workload_files_are_rejected(tmp_path):
     empty.write_text("[]", encoding="utf-8")
     with pytest.raises(ValueError):
         load_workload(empty)
-    with pytest.raises(ValueError):
-        workload_bodies(empty)
     noatoms = tmp_path / "noatoms.json"
     noatoms.write_text('[{"seed": 1}]', encoding="utf-8")
     with pytest.raises(ValueError):
         load_workload(noatoms)
-    with pytest.raises(ValueError):
-        workload_bodies(noatoms)

@@ -157,6 +157,24 @@ class TestServe:
         assert doc["failed"] == 0
         assert doc["hit_rate"] > 0 or doc["coalesced"] > 0
 
+    def test_fleet_synthetic_smoke(self, tmp_path, capsys):
+        import json
+        out = tmp_path / "fleet.json"
+        assert main(["serve", "--synthetic", "12", "--atoms", "120",
+                     "--molecules", "2", "--shards", "2",
+                     "--json", str(out)]) == 0
+        assert "fleet:" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["failed"] == 0 and doc["expired"] == 0
+        assert doc["ok"] == 12
+
+    @pytest.mark.parametrize("flag", [["--retries", "3"],
+                                      ["--hedge-after", "1"]])
+    def test_fleet_rejects_retry_policy(self, flag, capsys):
+        assert main(["serve", "--synthetic", "2", "--atoms", "120",
+                     "--shards", "2"] + flag) == 2
+        assert "--shards" in capsys.readouterr().err
+
     def test_metrics_out_includes_serve_counters(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
         assert main(["serve", "--synthetic", "6", "--atoms", "120",
