@@ -33,8 +33,9 @@ from repro.core.born_octree import (
     push_integrals_to_atoms,
 )
 from repro.core.energy_octree import EpolResult, build_charge_buckets
-from repro.core.gb import (born_integral_block, energy_prefactor,
-                           inv_fgb_still, inv_r6, pair_energy_matrix)
+from repro.core.gb import (born_far_terms, born_integral_block,
+                           bucket_far_energy, energy_prefactor,
+                           pair_energy_matrix)
 from repro.geomutil import ranges_to_indices
 from repro.obs import record_bucket_metrics, record_traversal_metrics
 from repro.constants import TAU_WATER
@@ -96,6 +97,38 @@ def _expand_larger(a: np.ndarray, b: np.ndarray,
     return np.concatenate(out_a), np.concatenate(out_b)
 
 
+def _dual_descend(tree_a: Octree, tree_b: Octree, accept, far_step
+                  ) -> Tuple[np.ndarray, np.ndarray, int, int]:
+    """Descend ``(tree_a, tree_b)`` from ``(root, root)``, splitting the
+    larger node of each pair until ``accept(a, b, r, rsum)`` marks it far
+    (then ``far_step(a, b, d, r2)`` settles it, ``d`` pointing from the
+    ``a`` node to the ``b`` node) or both sides are leaves.
+
+    Returns the exact ``(a leaf, b leaf)`` pairs, level by level, and the
+    visit and far totals.
+    """
+    a = np.zeros(1, dtype=np.int64)
+    b = np.zeros(1, dtype=np.int64)
+    exact_a: list = []
+    exact_b: list = []
+    visits = far_n = 0
+    while len(a):
+        visits += len(a)
+        d = tree_b.center[b] - tree_a.center[a]
+        r2 = np.einsum("ij,ij->i", d, d)
+        far = accept(a, b, np.sqrt(r2), tree_a.radius[a] + tree_b.radius[b])
+        if far.any():
+            far_step(a[far], b[far], d[far], r2[far])
+            far_n += int(far.sum())
+        rest = ~far
+        a, b = a[rest], b[rest]
+        both_leaf = tree_a.is_leaf[a] & tree_b.is_leaf[b]
+        exact_a.append(a[both_leaf])
+        exact_b.append(b[both_leaf])
+        a, b = _expand_larger(a[~both_leaf], b[~both_leaf], tree_a, tree_b)
+    return np.concatenate(exact_a), np.concatenate(exact_b), visits, far_n
+
+
 def _per_leaf_counts(tree: Octree, far_by_node: np.ndarray,
                      exact_by_leaf: np.ndarray) -> PerSourceCounts:
     """Attribute internal-node far evaluations down to leaves.
@@ -133,7 +166,6 @@ def born_radii_dualtree(molecule: Molecule,
     wn_sorted = surf.weighted_normals[q_tree.perm]
     wn_node = node_aggregates(q_tree, wn_sorted)
 
-    counts = TraversalCounts()
     s_node = np.zeros(atoms_tree.nnodes, dtype=np.float64)
     s_atom = np.zeros(atoms_tree.npoints, dtype=np.float64)
     # Per-atoms-node far-evaluation tallies; pushed down to leaves at the
@@ -141,40 +173,19 @@ def born_radii_dualtree(molecule: Molecule,
     far_by_anode = np.zeros(atoms_tree.nnodes, dtype=np.float64)
     exact_by_aleaf = np.zeros(atoms_tree.nnodes, dtype=np.float64)
 
-    a_front = np.zeros(1, dtype=np.int64)
-    q_front = np.zeros(1, dtype=np.int64)
-    exact_a: list = []
-    exact_q: list = []
+    def deposit(fa, fq, d, r2):
+        np.add.at(s_node, fa,
+                  born_far_terms(wn_node[fq], d, r2, params.approx_math))
+        np.add.at(far_by_anode, fa, 1.0)
 
-    while len(a_front):
-        counts.frontier_visits += len(a_front)
-        dv = q_tree.center[q_front] - atoms_tree.center[a_front]
-        r2 = np.einsum("ij,ij->i", dv, dv)
-        r = np.sqrt(r2)
-        rsum = atoms_tree.radius[a_front] + q_tree.radius[q_front]
-        far = _born_far_mask(r, DUAL_MAC_SAFETY * rsum, params)
-        if far.any():
-            fa, fq = a_front[far], q_front[far]
-            numer = np.einsum("ij,ij->i", wn_node[fq], dv[far])
-            np.add.at(s_node, fa, numer * inv_r6(r2[far], params.approx_math))
-            np.add.at(far_by_anode, fa, 1.0)
-            counts.far_evaluations += int(far.sum())
-        rest = ~far
-        ra, rq = a_front[rest], q_front[rest]
-        both_leaf = atoms_tree.is_leaf[ra] & q_tree.is_leaf[rq]
-        if both_leaf.any():
-            exact_a.append(ra[both_leaf])
-            exact_q.append(rq[both_leaf])
-        ia, iq = ra[~both_leaf], rq[~both_leaf]
-        if len(ia):
-            a_front, q_front = _expand_larger(ia, iq, atoms_tree, q_tree)
-        else:
-            a_front = np.empty(0, dtype=np.int64)
-            q_front = np.empty(0, dtype=np.int64)
+    ea, eq, visits, far_n = _dual_descend(
+        atoms_tree, q_tree,
+        lambda a, q, r, rsum: _born_far_mask(r, DUAL_MAC_SAFETY * rsum,
+                                             params),
+        deposit)
+    counts = TraversalCounts(visits, far_n)
 
-    if exact_a:
-        ea = np.concatenate(exact_a)
-        eq = np.concatenate(exact_q)
+    if len(ea):
         order = np.argsort(ea, kind="stable")
         ea, eq = ea[order], eq[order]
         uniq, first = np.unique(ea, return_index=True)
@@ -206,8 +217,7 @@ def epol_dualtree(molecule: Molecule,
                   born_radii: np.ndarray,
                   params: ApproxParams = ApproxParams(),
                   atoms_tree: Optional[Octree] = None,
-                  tau: float = TAU_WATER,
-                  far_chunk: int = 8192) -> EpolResult:
+                  tau: float = TAU_WATER) -> EpolResult:
     """GB energy via dual-tree traversal over (atoms, atoms) node pairs.
 
     Starting from ``(root, root)`` and splitting disjointly guarantees
@@ -221,52 +231,24 @@ def epol_dualtree(molecule: Molecule,
     buckets = build_charge_buckets(atoms_tree, q_sorted, R_sorted,
                                    params.eps_epol)
     mac = DUAL_MAC_SAFETY * (1.0 + 2.0 / params.eps_epol)
-    counts = TraversalCounts()
     far_by_unode = np.zeros(atoms_tree.nnodes, dtype=np.float64)
     exact_by_vleaf = np.zeros(atoms_tree.nnodes, dtype=np.float64)
-
-    u_front = np.zeros(1, dtype=np.int64)
-    v_front = np.zeros(1, dtype=np.int64)
-    exact_u: list = []
-    exact_v: list = []
     total = 0.0
 
-    while len(u_front):
-        counts.frontier_visits += len(u_front)
-        dv = atoms_tree.center[v_front] - atoms_tree.center[u_front]
-        r2 = np.einsum("ij,ij->i", dv, dv)
-        r = np.sqrt(r2)
-        rsum = atoms_tree.radius[u_front] + atoms_tree.radius[v_front]
-        # Never approximate a node against itself (r_UV = 0).
-        far = (u_front != v_front) & (r > rsum * mac)
-        if far.any():
-            fu, fv = u_front[far], v_front[far]
-            fr2 = r2[far]
-            for lo in range(0, len(fu), far_chunk):
-                sl = slice(lo, min(lo + far_chunk, len(fu)))
-                k = inv_fgb_still(fr2[sl][:, None, None],
-                                  buckets.products[None, :, :],
-                                  approx_math=params.approx_math)
-                total += float(np.einsum("ki,kij,kj->", buckets.table[fu[sl]],
-                                         k, buckets.table[fv[sl]]))
-            np.add.at(far_by_unode, fu, 1.0)
-            counts.far_evaluations += int(far.sum())
-        rest = ~far
-        ru, rv = u_front[rest], v_front[rest]
-        both_leaf = atoms_tree.is_leaf[ru] & atoms_tree.is_leaf[rv]
-        if both_leaf.any():
-            exact_u.append(ru[both_leaf])
-            exact_v.append(rv[both_leaf])
-        iu, iv = ru[~both_leaf], rv[~both_leaf]
-        if len(iu):
-            u_front, v_front = _expand_larger(iu, iv, atoms_tree, atoms_tree)
-        else:
-            u_front = np.empty(0, dtype=np.int64)
-            v_front = np.empty(0, dtype=np.int64)
+    def far_step(fu, fv, d, r2):
+        nonlocal total
+        total = bucket_far_energy(r2, buckets.table, fu, buckets.table, fv,
+                                  buckets.products, params.approx_math,
+                                  total)
+        np.add.at(far_by_unode, fu, 1.0)
 
-    if exact_u:
-        eu = np.concatenate(exact_u)
-        ev = np.concatenate(exact_v)
+    # Never approximate a node against itself (r_UV = 0).
+    eu, ev, visits, far_n = _dual_descend(
+        atoms_tree, atoms_tree,
+        lambda u, v, r, rsum: (u != v) & (r > rsum * mac), far_step)
+    counts = TraversalCounts(visits, far_n)
+
+    if len(eu):
         order = np.argsort(ev, kind="stable")
         eu, ev = eu[order], ev[order]
         pts = atoms_tree.points

@@ -17,8 +17,9 @@ pairs included via the ``U == V`` exact block).  Eq. 2 is symmetric, so
 an exact block whose mirror is exact too is evaluated once, with
 doubled charges.
 
-As in :mod:`repro.core.born_octree`, the recursion is executed as a
-vectorised frontier of ``(U, V)`` index arrays.
+As in :mod:`repro.core.born_octree`, the recursion is
+:func:`repro.core.frontier.descend`, a vectorised frontier of
+``(U, V)`` index arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ import numpy as np
 from repro.config import ApproxParams
 from repro.constants import TAU_WATER
 from repro.core.born_octree import PerSourceCounts, TraversalCounts
-from repro.core.gb import (energy_prefactor, inv_fgb_still,
+from repro.core.frontier import descend
+from repro.core.gb import (bucket_far_energy, energy_prefactor,
                            pair_energy_matrix)
 from repro.geomutil import ranges_to_indices
 from repro.obs import (
@@ -41,7 +43,7 @@ from repro.obs import (
     traced,
 )
 from repro.molecules.molecule import Molecule
-from repro.octree.build import NO_CHILD, Octree, build_octree
+from repro.octree.build import Octree, build_octree
 
 #: Sentinel cap on the (1+ε) bucket grid.  Legitimate radii are capped
 #: at RGBMAX (30 Å) and floored near 1 Å, so even ε = 0.01 needs only
@@ -147,8 +149,7 @@ def approx_epol_for_leaves(atoms_tree: Octree,
                            born_sorted: np.ndarray,
                            buckets: ChargeBuckets,
                            params: ApproxParams,
-                           v_leaf_subset: Optional[np.ndarray] = None,
-                           far_chunk: int = 8192
+                           v_leaf_subset: Optional[np.ndarray] = None
                            ) -> Tuple[float, TraversalCounts,
                                       PerSourceCounts]:
     """Raw double sum ``Σ q q / f_GB`` for a segment of V-leaves.
@@ -158,83 +159,37 @@ def approx_epol_for_leaves(atoms_tree: Octree,
     leaves.  Multiply the result by
     :func:`repro.core.gb.energy_prefactor` for kcal/mol.
     """
-    counts = TraversalCounts()
     leaf_ids = atoms_tree.leaves
     if v_leaf_subset is not None:
         leaf_ids = leaf_ids[np.asarray(v_leaf_subset)]
-    nv = len(leaf_ids)
-    pv_visits = np.zeros(nv, dtype=np.int64)
-    pv_far = np.zeros(nv, dtype=np.int64)
-    pv_exact = np.zeros(nv, dtype=np.int64)
-    per_source = PerSourceCounts(pv_visits, pv_far, pv_exact)
-    if nv == 0:
-        return 0.0, counts, per_source
-
     mac = 1.0 + 2.0 / params.eps_epol
-    children = atoms_tree.children
-    center = atoms_tree.center
-    radius = atoms_tree.radius
     is_leaf = atoms_tree.is_leaf
-
-    v_center = center[leaf_ids]
-    v_radius = radius[leaf_ids]
-    v_rows = np.arange(nv, dtype=np.int64)
-
-    u_front = np.zeros(nv, dtype=np.int64)
-    v_front = v_rows.copy()
-
     total = 0.0
-    exact_u: list = []
-    exact_v: list = []
 
+    def far_step(u, v, d, r2):
+        nonlocal total
+        total = bucket_far_energy(r2, buckets.table, u, buckets.table,
+                                  leaf_ids[v], buckets.products,
+                                  params.approx_math, total)
+
+    # Fig. 3 sends every leaf U to the exact blocks, far or not.
     with span("epol.traversal.far"):
-        while len(u_front):
-            counts.frontier_visits += len(u_front)
-            pv_visits += np.bincount(v_front, minlength=nv)
-            leafmask = is_leaf[u_front]
-            if leafmask.any():
-                exact_u.append(u_front[leafmask])
-                exact_v.append(v_front[leafmask])
-            u_rest = u_front[~leafmask]
-            v_rest = v_front[~leafmask]
-            u_front = np.empty(0, dtype=np.int64)
-            v_front = np.empty(0, dtype=np.int64)
-            if not len(u_rest):
-                continue
-            dv = v_center[v_rest] - center[u_rest]
-            r2 = np.einsum("ij,ij->i", dv, dv)
-            r = np.sqrt(r2)
-            far = r > (radius[u_rest] + v_radius[v_rest]) * mac
-            if far.any():
-                fu, fv = u_rest[far], v_rest[far]
-                fr2 = r2[far]
-                for lo in range(0, len(fu), far_chunk):
-                    sl = slice(lo, min(lo + far_chunk, len(fu)))
-                    k = inv_fgb_still(
-                        fr2[sl][:, None, None],
-                        buckets.products[None, :, :],
-                        approx_math=params.approx_math)
-                    qu = buckets.table[fu[sl]]
-                    qv = buckets.table[leaf_ids[fv[sl]]]
-                    total += float(np.einsum("ki,kij,kj->", qu, k, qv))
-                counts.far_evaluations += int(far.sum())
-                pv_far += np.bincount(fv, minlength=nv)
-            near = ~far
-            iu, iv = u_rest[near], v_rest[near]
-            if len(iu):
-                ch = children[iu]
-                valid = ch != NO_CHILD
-                u_front = ch[valid]
-                v_front = np.repeat(iv, valid.sum(axis=1))
+        walk = descend(atoms_tree, atoms_tree.center[leaf_ids],
+                       atoms_tree.radius[leaf_ids],
+                       lambda u, r, rsum: ~is_leaf[u] & (r > rsum * mac),
+                       far_step)
+    counts = TraversalCounts(int(walk.visits.sum()), int(walk.far.sum()))
+    pv_exact = np.zeros(len(leaf_ids), dtype=np.int64)
+    per_source = PerSourceCounts(walk.visits, walk.far, pv_exact)
 
     # Exact leaf blocks (U = eu[i], V = leaf_ids[ev[i]]).  A block whose
     # mirror (V, U) is exact in this call too runs once, as the pair with
     # the lower U id, with U's charges doubled (exact in floating point);
     # diagonal and one-way blocks run once as they are.  The counts still
     # tally every ordered block and pair.
-    if exact_u:
+    if len(walk.near_nodes):
         with span("epol.traversal.near"):
-            eu, ev = np.concatenate(exact_u), np.concatenate(exact_v)
+            eu, ev = walk.near_nodes, walk.near_src
             start, end = atoms_tree.start, atoms_tree.end
             vn = leaf_ids[ev]
             sizes = end - start
@@ -242,7 +197,7 @@ def approx_epol_for_leaves(atoms_tree: Octree,
             counts.near_pair_blocks += len(eu)
             counts.exact_interactions += int(pairs.sum())
             pv_exact += np.bincount(ev, weights=pairs,
-                                    minlength=nv).astype(np.int64)
+                                    minlength=len(leaf_ids)).astype(np.int64)
             nn = atoms_tree.nnodes
             mutual = (eu != vn) & np.isin(vn * nn + eu, eu * nn + vn)
             run = np.flatnonzero(~mutual | (eu < vn))

@@ -17,9 +17,11 @@ is reproduced with genuinely lower-precision kernels: a bit-trick
 reciprocal square root with one Newton step and a (1 + x/64)⁶⁴
 exponential.
 
-It also holds the only two exact block kernels, one per phase, which
-every solver shares: :func:`pair_energy_matrix` and
-:func:`born_integral_block` (docs/ALGORITHMS.md §9).
+It also holds the only pair kernels, an exact and a far-field one per
+phase, which every solver shares: :func:`pair_energy_matrix` and
+:func:`born_integral_block` for exact leaf blocks (docs/ALGORITHMS.md
+§9), :func:`bucket_far_energy` and :func:`born_far_terms` for far pairs
+(§10).
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from typing import Optional
 import numpy as np
 
 from repro.constants import COULOMB_KCAL, TAU_WATER
+
+#: Far pairs per :func:`bucket_far_energy` block; bounds its
+#: ``(pairs, M_ε, M_ε)`` work array.  Part of the summation order.
+FAR_CHUNK = 8192
 
 
 def fast_rsqrt(x: np.ndarray) -> np.ndarray:
@@ -135,6 +141,28 @@ def pair_energy_matrix(pos_i: np.ndarray, q_i: np.ndarray, R_i: np.ndarray,
     return float(np.einsum("i,ij,j->", q_i, inv, q_j))
 
 
+def bucket_far_energy(r2: np.ndarray, table_u: np.ndarray, u: np.ndarray,
+                      table_v: np.ndarray, v: np.ndarray,
+                      products: np.ndarray, approx_math: bool = False,
+                      total: float = 0.0) -> float:
+    """Charge-bucket far field of Fig. 3 for far node pairs ``(u, v)``.
+
+    Adds ``Σ_{k,l} q_U[k] q_V[l] / f_GB(r², P_kl)`` over the pairs to
+    ``total`` (raw, unprefixed), where ``q_U = table_u[u]``,
+    ``q_V = table_v[v]`` and ``P = products`` (docs/ALGORITHMS.md §4).
+    Pairs run in :data:`FAR_CHUNK` blocks and each block's sum is added
+    to ``total`` in turn, so a caller threading its running sum through
+    successive calls keeps one summation order.
+    """
+    for lo in range(0, len(u), FAR_CHUNK):
+        sl = slice(lo, lo + FAR_CHUNK)
+        k = inv_fgb_still(r2[sl][:, None, None], products[None, :, :],
+                          approx_math=approx_math)
+        total += float(np.einsum("ki,kij,kj->", table_u[u[sl]], k,
+                                 table_v[v[sl]]))
+    return total
+
+
 def inv_r6(r2: np.ndarray, approx_math: bool = False) -> np.ndarray:
     """``1 / max(r², 10⁻³⁰)³``, the r⁶ Born integrand's distance factor."""
     t = np.maximum(r2, 1e-30)
@@ -145,6 +173,16 @@ def inv_r6(r2: np.ndarray, approx_math: bool = False) -> np.ndarray:
     c = t * t
     c *= t
     return np.divide(1.0, c, out=c)
+
+
+def born_far_terms(wn: np.ndarray, d: np.ndarray, r2: np.ndarray,
+                   approx_math: bool = False) -> np.ndarray:
+    """Pseudo-q-point r⁶ terms ``(w·n)·d / r⁶``, one per far pair.
+
+    ``wn`` is the source's summed weighted normal, ``d`` the vector from
+    the atoms node to the source and ``r2 = |d|²`` (Fig. 2's far field).
+    """
+    return np.einsum("ij,ij->i", wn, d) * inv_r6(r2, approx_math)
 
 
 def born_integral_block(atoms: np.ndarray, points: np.ndarray,
