@@ -593,7 +593,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     else:
         from repro.serve import load_workload, synthetic_workload
         if args.workload:
-            requests = load_workload(args.workload)
+            try:
+                requests = load_workload(args.workload)
+            except (OSError, ValueError) as exc:
+                print(f"bad --workload file: {exc}", file=sys.stderr)
+                return 2
             source = args.workload
         else:
             requests = synthetic_workload(

@@ -175,6 +175,21 @@ class TestServe:
                      "--shards", "2"] + flag) == 2
         assert "--shards" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body,names", [
+        ('[{"atoms": 120, "bogus": 1}]', "entry 0"),
+        ("not json", ""),
+        (None, "missing.json"),
+    ], ids=["unknown-field", "not-json", "missing-path"])
+    def test_bad_workload_file_is_one_line_exit_2(self, tmp_path, capsys,
+                                                  body, names):
+        path = tmp_path / ("wl.json" if body is not None else "missing.json")
+        if body is not None:
+            path.write_text(body)
+        assert main(["serve", "--workload", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad --workload file: ")
+        assert len(err.splitlines()) == 1 and names in err
+
     def test_metrics_out_includes_serve_counters(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
         assert main(["serve", "--synthetic", "6", "--atoms", "120",
