@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.constants import COULOMB_KCAL, TAU_WATER
 from repro.core.gb import (
+    FAR_CHUNK,
+    bucket_far_energy,
     energy_prefactor,
     fast_exp,
     fast_rsqrt,
@@ -93,3 +95,31 @@ class TestPairEnergy:
         assert energy_prefactor() == pytest.approx(
             -0.5 * TAU_WATER * COULOMB_KCAL)
         assert energy_prefactor(0.5) == pytest.approx(-0.25 * COULOMB_KCAL)
+
+
+class TestBucketFarEnergy:
+    def test_blocks_add_to_the_running_total_in_order(self):
+        """More pairs than one block: the kernel equals the per-pair
+        bucket sum, and adds its blocks to ``total`` one by one (the
+        summation order every energy traversal relies on)."""
+        rng = np.random.default_rng(3)
+        npairs, nb = 2 * FAR_CHUNK + 5, 4
+        table = rng.normal(size=(50, nb))
+        u, v = rng.integers(0, 50, npairs), rng.integers(0, 50, npairs)
+        r2 = rng.uniform(4.0, 400.0, npairs)
+        powers = 1.5 * 1.9 ** np.arange(nb)
+        products = np.outer(powers, powers)
+        got = bucket_far_energy(r2, table, u, table, v, products,
+                                total=0.25)
+
+        want = 0.25
+        for lo in range(0, npairs, FAR_CHUNK):
+            sl = slice(lo, lo + FAR_CHUNK)
+            k = inv_fgb_still(r2[sl][:, None, None], products[None])
+            want += float(np.einsum("ki,kij,kj->", table[u[sl]], k,
+                                    table[v[sl]]))
+        assert got == want
+
+        per_pair = sum(table[a] @ inv_fgb_still(x, products) @ table[b]
+                       for a, b, x in zip(u, v, r2))
+        assert got - 0.25 == pytest.approx(per_pair, rel=1e-12)
