@@ -35,6 +35,13 @@ class _EdgeHandler(BaseHTTPRequestHandler):
     #: otherwise block rfile.read() forever and pin a handler thread
     #: (slowloris); on timeout http.server drops the connection.
     timeout = 30.0
+    #: Buffered wfile: handle_one_request flushes it once per request,
+    #: so headers and body of a typical response leave in one send.
+    wbufsize = -1
+    #: TCP_NODELAY on each accepted socket: a response larger than the
+    #: write buffer still leaves in two sends, and without it Nagle
+    #: holds the second until the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     def _dispatch(self) -> None:
         app: EdgeApp = self.server.app  # type: ignore[attr-defined]
