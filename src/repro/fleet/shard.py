@@ -12,8 +12,10 @@ Two backends share the same surface (``submit`` / ``cancel`` /
   loser), which is why the chaos matrix runs on it.
 * :class:`ProcessShard` — behind ``backend="process"``: the service
   lives in a child process (escaping the GIL for real), fed by one
-  parent-side pipe thread, one outstanding request at a time.
-  ``kill()`` is a real ``SIGTERM``.
+  parent-side pipe thread, one outstanding request at a time.  The
+  request itself crosses the pipe (minus its molecule, which travels
+  once per route), so every field — deadline, tenant — reaches the
+  child's service.  ``kill()`` is a real ``SIGTERM``.
 
 Both backends consult a :class:`_ShardServePlan` — the adapter that
 maps fleet-level :class:`~repro.faults.plan.ShardStall` injections
@@ -31,9 +33,11 @@ old shard persisted.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import queue
 import threading
+import time
 import weakref
 from typing import Dict, Optional
 
@@ -41,6 +45,7 @@ import repro.obs as obs
 from repro.faults.plan import ServeFaultPlan
 from repro.molecules.molecule import Molecule, SurfaceSamples
 from repro.serve.cache import ArtifactCache, DEFAULT_CACHE_BYTES
+from repro.serve.errors import DeadlineExceededError
 from repro.serve.request import SolveRequest, SolveResult
 from repro.serve.service import CANCELLED_MARK, ServeStats, SolveService, \
     Ticket
@@ -187,9 +192,11 @@ def _shard_child_main(conn, shard_id: int, workers: int,
                       cache_bytes: int) -> None:
     """Child-process entry: serve solve RPCs over ``conn`` until EOF.
 
-    Molecules arrive once per route key (the parent registry sends
-    the arrays on first use, then only the key), so warm repeats cost
-    a few hundred bytes on the wire.
+    Each solve message carries the :class:`SolveRequest` with its
+    molecule dropped; molecules arrive once per route key (the parent
+    registry sends the arrays on first use, then only the key) and are
+    restored here, so warm repeats cost a few hundred bytes on the
+    wire.
     """
     for end in list(_PARENT_ENDS):
         end.close()
@@ -216,8 +223,7 @@ def _shard_child_main(conn, shard_id: int, workers: int,
             if msg[0] == "stats":
                 conn.send(("stats", service.stats()))
                 continue
-            (_, key, route, payload, params, method, priority, tau,
-             stall) = msg
+            _, key, route, payload, request, stall = msg
             if payload is not None:
                 positions, charges, radii, surf, name = payload
                 molecules[route] = Molecule(
@@ -236,9 +242,8 @@ def _shard_child_main(conn, shard_id: int, workers: int,
                     error=f"unknown route {route[:16]}… (molecule "
                           f"payload not received)")))
                 continue
-            request = SolveRequest(
-                molecule=molecule, params=params, method=method,
-                priority=priority, idempotency_key=key, tau=tau)
+            request = dataclasses.replace(request, molecule=molecule,
+                                          idempotency_key=key)
             if stall > 0.0:
                 plan.note_stall(key, stall)
             result = service.submit(request).result()
@@ -258,7 +263,9 @@ class ProcessShard:
     real ``terminate()``.  Cancellation is parent-side (first-set-wins
     on the parent ticket): a cancelled request still queued is skipped
     by the feeder, one already on the wire finishes in the child and
-    loses the set race.
+    loses the set race.  A deadline runs from ``submit``: the feeder
+    expires a request whose budget ran out in the outbox and forwards
+    the rest of the budget otherwise.
     """
 
     backend = "process"
@@ -285,6 +292,7 @@ class ProcessShard:
         self._sent_routes: Dict[str, bool] = {}  # guarded-by: _lock
         self._tickets: Dict[str, Ticket] = {}    # guarded-by: _lock
         self._alarms: Dict[str, Ticket] = {}     # guarded-by: _lock
+        self._outbox_expired = 0                 # guarded-by: _lock
         self._stats_box: "queue.Queue[ServeStats]" = queue.Queue()
         self._feeder = threading.Thread(
             target=self._feed, name=f"fleet-feeder-{shard_id}",
@@ -315,8 +323,10 @@ class ProcessShard:
                 except (EOFError, OSError, BrokenPipeError):
                     self._stats_box.put(ServeStats())
                 continue
-            ticket, wire = item
-            if ticket.done():       # cancelled while queued
+            ticket, enqueued_at, wire = item
+            if not ticket.done():
+                wire = self._charge_outbox_wait(ticket, enqueued_at, wire)
+            if ticket.done():       # cancelled or expired while queued
                 if wire[3] is not None:
                     # This message carried the route's molecule payload
                     # and the child never saw it; unmark the route so
@@ -337,6 +347,30 @@ class ProcessShard:
             result.shard = self.shard_id
             ticket._set(result)
 
+    def _charge_outbox_wait(self, ticket: Ticket, enqueued_at: float,
+                            wire: tuple) -> tuple:
+        """Charge the time a request sat in the outbox to its deadline.
+
+        A request whose deadline passed there is resolved ``expired``
+        (never sent); otherwise the child gets the remaining budget.
+        """
+        request = wire[4]
+        if request.deadline_s is None:
+            return wire
+        waited = time.monotonic() - enqueued_at
+        remaining = request.deadline_s - waited
+        if remaining <= 0.0:
+            exc = DeadlineExceededError(request.deadline_s, -remaining)
+            if ticket._set(SolveResult(
+                    key=ticket.key, status="expired", method=request.method,
+                    error=str(exc), wait_seconds=waited,
+                    shard=self.shard_id)):
+                with self._lock:
+                    self._outbox_expired += 1
+            return wire
+        return wire[:4] + (dataclasses.replace(
+            request, deadline_s=remaining),) + wire[5:]
+
     # -- work --------------------------------------------------------------
 
     def submit(self, request: SolveRequest,
@@ -345,6 +379,7 @@ class ProcessShard:
         route = request.route_key()
         mol = request.molecule
         surf = mol.surface
+        bare = dataclasses.replace(request, molecule=None)
         ticket = Ticket(key)
         with self._lock:
             self._tickets[key] = ticket
@@ -362,10 +397,8 @@ class ProcessShard:
                 payload = (mol.positions, mol.charges, mol.radii,
                            (surf.points, surf.normals, surf.weights)
                            if surf is not None else None, mol.name)
-            self._outbox.put((ticket, (
-                "solve", key, route, payload, request.params,
-                request.method, request.priority, request.tau,
-                stall_seconds)))
+            self._outbox.put((ticket, time.monotonic(), (
+                "solve", key, route, payload, bare, stall_seconds)))
         ticket.on_done(self._forget)
         return ticket
 
@@ -432,6 +465,12 @@ class ProcessShard:
             return ServeStats()
         self._outbox.put(("stats",))
         try:
-            return self._stats_box.get(timeout=30.0)
+            stats = self._stats_box.get(timeout=30.0)
         except queue.Empty:         # pragma: no cover — hung child
             return ServeStats()
+        with self._lock:
+            # Expired in the outbox, these never reached the child's
+            # service; a thread shard counts them as submitted too.
+            stats.submitted += self._outbox_expired
+            stats.expired += self._outbox_expired
+        return stats

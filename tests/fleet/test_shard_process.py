@@ -3,6 +3,7 @@
 process boundary."""
 
 import contextlib
+import json
 import os
 import signal
 import subprocess
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.cli import main as repro_main
 from repro.fleet import ProcessShard, ShardedFleet, ThreadShard
 from repro.molecules import synthetic_protein
 from repro.serve import SolveRequest
@@ -132,6 +134,49 @@ def test_unknown_route_is_typed_failure_not_shard_death():
         assert ok.status == "ok"
     finally:
         shard.close()
+
+
+def test_deadline_counts_match_thread_shards(tmp_path):
+    """Regression: the process wire dropped ``deadline_s`` and the
+    outbox ran no clock, so requests queued behind a long solve never
+    expired on process shards (4 ok / 0 expired against 1 ok / 3
+    expired on thread shards)."""
+    workload = tmp_path / "deadline.json"
+    workload.write_text(json.dumps({"requests": [
+        {"atoms": 3000, "seed": 1},
+        *({"atoms": 400, "seed": s, "deadline_s": 0.001}
+          for s in (2, 3, 4))]}))
+    counts = {}
+    for backend in ("thread", "process"):
+        out = tmp_path / f"{backend}.json"
+        code = repro_main(["serve", "--workload", str(workload),
+                           "--shards", "1", "--workers", "1",
+                           "--batch-size", "1", "--shard-backend",
+                           backend, "--json", str(out)])
+        doc = json.loads(out.read_text())
+        counts[backend] = (code, doc["ok"], doc["expired"], doc["failed"])
+    assert counts["thread"] == (1, 1, 3, 0)
+    assert counts["process"] == counts["thread"]
+
+
+def test_outbox_expiries_count_in_shard_stats():
+    """A request expired in the process feeder's outbox counts as
+    submitted and expired, as it does on a thread shard."""
+    reqs = [SolveRequest(molecule=synthetic_protein(3000, seed=1)),
+            *(SolveRequest(molecule=synthetic_protein(400, seed=s),
+                           deadline_s=0.001) for s in (2, 3))]
+    seen = {}
+    for backend in ("thread", "process"):
+        with ShardedFleet(shards=1, backend=backend, workers_per_shard=1,
+                          batch_size=1) as fleet:
+            tickets = [fleet.submit(r) for r in reqs]
+            assert fleet.drain(timeout=120.0)
+            st = fleet.shard_stats()[0]
+            seen[backend] = ([t.result(timeout=0.0).status
+                              for t in tickets],
+                             st.submitted, st.completed, st.expired)
+    assert seen["thread"] == (["ok", "expired", "expired"], 3, 1, 2)
+    assert seen["process"] == seen["thread"]
 
 
 def test_fleet_process_backend_end_to_end():
