@@ -45,11 +45,12 @@ inside it).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Deque, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -87,7 +88,7 @@ from repro.serve.resilience import (
 )
 
 __all__ = ["SolveService", "Ticket", "ServeStats",
-           "LATENCY_BOUNDS_SECONDS", "CANCELLED_MARK"]
+           "LATENCY_BOUNDS_SECONDS", "LATENCY_WINDOW", "CANCELLED_MARK"]
 
 #: Error prefix marking a result produced by :meth:`SolveService.cancel`
 #: rather than by execution — the fleet router skips these when
@@ -100,6 +101,11 @@ CANCELLED_MARK = "[cancelled]"
 LATENCY_BOUNDS_SECONDS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0)
+
+#: Latest results whose wait/service seconds feed the stats quantiles —
+#: a long-running server keeps a bounded window, not every sample (p99
+#: still has 40 samples beyond it).
+LATENCY_WINDOW = 4096
 
 
 class Ticket:
@@ -178,7 +184,11 @@ class _Job:
 
 @dataclass
 class ServeStats:
-    """Aggregate service counters + latency quantiles (at drain time)."""
+    """Aggregate service counters + latency quantiles (at drain time).
+
+    ``wait_p50`` … ``service_p99`` describe the latest
+    :data:`LATENCY_WINDOW` results, not every result since start.
+    """
 
     submitted: int = 0
     completed: int = 0
@@ -288,8 +298,10 @@ class SolveService:
         self._pending = 0                        # guarded-by: _lock
         self._closed = False                     # guarded-by: _lock
         self._stats = ServeStats()               # guarded-by: _lock
-        self._waits: List[float] = []            # guarded-by: _lock
-        self._services: List[float] = []         # guarded-by: _lock
+        self._waits: Deque[float] = collections.deque(
+            maxlen=LATENCY_WINDOW)               # guarded-by: _lock
+        self._services: Deque[float] = collections.deque(
+            maxlen=LATENCY_WINDOW)               # guarded-by: _lock
         # Replacement workers take ids past the initial pool, so a
         # WorkerCrash spec can never re-fire on the replacement.
         self._wid_counter = itertools.count(int(workers))

@@ -222,6 +222,29 @@ def test_stats_quantiles_and_levels(service, protein_small):
     assert 0.0 < stats.hit_rate <= 1.0
 
 
+def test_latency_quantiles_keep_a_bounded_window():
+    """A long-running service keeps the latest LATENCY_WINDOW samples,
+    not one per result since start."""
+    from repro.serve import SolveResult
+    from repro.serve.service import LATENCY_WINDOW
+
+    assert LATENCY_WINDOW == 4096
+    rng = np.random.default_rng(7)
+    waits, services = rng.random(5000), rng.random(5000)
+    with SolveService(workers=1) as svc:
+        for w, s in zip(waits, services):
+            svc._record_latency(SolveResult(
+                key="k", status="ok", wait_seconds=float(w),
+                service_seconds=float(s)))
+        assert len(svc._waits) == len(svc._services) == LATENCY_WINDOW
+        stats = svc.stats()
+    assert stats.completed == 5000
+    for q, got_w, got_s in ((50, stats.wait_p50, stats.service_p50),
+                            (99, stats.wait_p99, stats.service_p99)):
+        assert got_w == np.percentile(waits[-LATENCY_WINDOW:], q)
+        assert got_s == np.percentile(services[-LATENCY_WINDOW:], q)
+
+
 # -- cancellation + completion callbacks (the fleet substrate) -----------
 
 
