@@ -98,22 +98,23 @@ def _expand_larger(a: np.ndarray, b: np.ndarray,
 
 
 def _dual_descend(tree_a: Octree, tree_b: Octree, accept, far_step
-                  ) -> Tuple[np.ndarray, np.ndarray, int, int]:
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Descend ``(tree_a, tree_b)`` from ``(root, root)``, splitting the
     larger node of each pair until ``accept(a, b, r, rsum)`` marks it far
     (then ``far_step(a, b, d, r2)`` settles it, ``d`` pointing from the
     ``a`` node to the ``b`` node) or both sides are leaves.
 
-    Returns the exact ``(a leaf, b leaf)`` pairs, level by level, and the
-    visit and far totals.
+    Returns the exact ``(a leaf, b leaf)`` pairs, level by level, the
+    visits per ``tree_a`` node and the far total.
     """
     a = np.zeros(1, dtype=np.int64)
     b = np.zeros(1, dtype=np.int64)
     exact_a: list = []
     exact_b: list = []
-    visits = far_n = 0
+    visits = np.zeros(tree_a.nnodes, dtype=np.int64)
+    far_n = 0
     while len(a):
-        visits += len(a)
+        visits += np.bincount(a, minlength=tree_a.nnodes)
         d = tree_b.center[b] - tree_a.center[a]
         r2 = np.einsum("ij,ij->i", d, d)
         far = accept(a, b, np.sqrt(r2), tree_a.radius[a] + tree_b.radius[b])
@@ -129,24 +130,28 @@ def _dual_descend(tree_a: Octree, tree_b: Octree, accept, far_step
     return np.concatenate(exact_a), np.concatenate(exact_b), visits, far_n
 
 
-def _per_leaf_counts(tree: Octree, far_by_node: np.ndarray,
+def _per_leaf_counts(tree: Octree, visits_by_node: np.ndarray,
+                     far_by_node: np.ndarray,
                      exact_by_leaf: np.ndarray) -> PerSourceCounts:
-    """Attribute internal-node far evaluations down to leaves.
+    """Attribute internal-node visits and far evaluations down to leaves.
 
-    A far evaluation at internal node ``A`` stands for work on behalf of
-    all atoms under ``A``; we apportion it to descendant leaves in
-    proportion to their point counts, so the per-leaf task costs sum to
-    the traversal totals.
+    A visit or far evaluation at internal node ``A`` stands for work on
+    behalf of all atoms under ``A``; we apportion it to descendant
+    leaves in proportion to their point counts, so the per-leaf task
+    costs sum to the traversal totals.
     """
     node_counts = (tree.end - tree.start).astype(np.float64)
-    density = far_by_node / node_counts
-    anc = ancestor_prefix(tree, density)
     leaves = tree.leaves
     leaf_counts = node_counts[leaves]
-    far_leaf = (anc[leaves] + density[leaves]) * leaf_counts
+
+    def to_leaves(by_node: np.ndarray) -> np.ndarray:
+        density = by_node / node_counts
+        anc = ancestor_prefix(tree, density)
+        return (anc[leaves] + density[leaves]) * leaf_counts
+
     return PerSourceCounts(
-        visits=np.zeros(len(leaves), dtype=np.int64),
-        far=far_leaf,
+        visits=to_leaves(visits_by_node),
+        far=to_leaves(far_by_node),
         exact_interactions=exact_by_leaf[leaves],
     )
 
@@ -178,12 +183,12 @@ def born_radii_dualtree(molecule: Molecule,
                   born_far_terms(wn_node[fq], d, r2, params.approx_math))
         np.add.at(far_by_anode, fa, 1.0)
 
-    ea, eq, visits, far_n = _dual_descend(
+    ea, eq, visits_by_anode, far_n = _dual_descend(
         atoms_tree, q_tree,
         lambda a, q, r, rsum: _born_far_mask(r, DUAL_MAC_SAFETY * rsum,
                                              params),
         deposit)
-    counts = TraversalCounts(visits, far_n)
+    counts = TraversalCounts(int(visits_by_anode.sum()), far_n)
 
     if len(ea):
         order = np.argsort(ea, kind="stable")
@@ -206,7 +211,8 @@ def born_radii_dualtree(molecule: Molecule,
     radii_sorted = push_integrals_to_atoms(atoms_tree, s_node, s_atom,
                                            intrinsic_sorted)
     radii = atoms_tree.scatter_to_original(radii_sorted)
-    per_source = _per_leaf_counts(atoms_tree, far_by_anode, exact_by_aleaf)
+    per_source = _per_leaf_counts(atoms_tree, visits_by_anode, far_by_anode,
+                                  exact_by_aleaf)
     record_traversal_metrics("born", counts, per_source)
     return BornResult(radii=radii, s_node=s_node, s_atom=s_atom,
                       counts=counts, atoms_tree=atoms_tree,
@@ -243,10 +249,10 @@ def epol_dualtree(molecule: Molecule,
         np.add.at(far_by_unode, fu, 1.0)
 
     # Never approximate a node against itself (r_UV = 0).
-    eu, ev, visits, far_n = _dual_descend(
+    eu, ev, visits_by_unode, far_n = _dual_descend(
         atoms_tree, atoms_tree,
         lambda u, v, r, rsum: (u != v) & (r > rsum * mac), far_step)
-    counts = TraversalCounts(visits, far_n)
+    counts = TraversalCounts(int(visits_by_unode.sum()), far_n)
 
     if len(eu):
         order = np.argsort(ev, kind="stable")
@@ -267,7 +273,8 @@ def epol_dualtree(molecule: Molecule,
             counts.exact_interactions += pairs
             exact_by_vleaf[int(v)] += pairs
 
-    per_source = _per_leaf_counts(atoms_tree, far_by_unode, exact_by_vleaf)
+    per_source = _per_leaf_counts(atoms_tree, visits_by_unode, far_by_unode,
+                                  exact_by_vleaf)
     record_traversal_metrics("epol", counts, per_source)
     record_bucket_metrics(buckets)
     return EpolResult(energy=energy_prefactor(tau) * total, counts=counts,

@@ -54,6 +54,9 @@ class TestBornDualtree:
             res.counts.exact_interactions)
         assert ps.far.sum() == pytest.approx(res.counts.far_evaluations,
                                              rel=1e-9)
+        assert ps.visits.sum() == pytest.approx(res.counts.frontier_visits,
+                                                rel=1e-9)
+        assert (ps.visits > 0).all()
 
 
 class TestEpolDualtree:
@@ -81,6 +84,18 @@ class TestEpolDualtree:
         assert res.counts.far_evaluations >= 0
         ref = epol_naive(protein_small, R)
         assert abs(res.energy - ref) / abs(ref) < 1e-4
+
+    def test_per_leaf_costs_cover_totals(self, protein_small):
+        R = born_radii_naive_r6(protein_small)
+        res = epol_dualtree(protein_small, R)
+        ps = res.per_source
+        assert ps.exact_interactions.sum() == pytest.approx(
+            res.counts.exact_interactions)
+        assert ps.far.sum() == pytest.approx(res.counts.far_evaluations,
+                                             rel=1e-9)
+        assert ps.visits.sum() == pytest.approx(res.counts.frontier_visits,
+                                                rel=1e-9)
+        assert (ps.visits > 0).all()
 
     def test_default_eps_close(self, protein_medium):
         R = born_radii_naive_r6(protein_medium)
