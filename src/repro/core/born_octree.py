@@ -38,9 +38,8 @@ import numpy as np
 
 from repro.config import ApproxParams
 from repro.core.born_naive import integral_to_radius_r6
-from repro.core.frontier import Descent, descend
-from repro.core.gb import born_far_terms, born_integral_block
-from repro.geomutil import ranges_to_indices
+from repro.core.frontier import Descent, NearTable, born_near_field, descend
+from repro.core.gb import born_far_terms
 from repro.obs import record_traversal_metrics, span, traced
 from repro.molecules.molecule import Molecule
 from repro.octree.build import Octree, build_octree
@@ -183,11 +182,14 @@ def approx_integrals(atoms_tree: Octree,
             else np.asarray(q_leaf_subset))
     leaf_ids = q_tree.leaves[rows]
     q_wn = qleaf_aggregates(q_tree, weighted_normals_sorted)[rows]
+    a_start, a_end = atoms_tree.start, atoms_tree.end
     if atom_range is not None:
         rng_s, rng_e = atom_range
         if not 0 <= rng_s <= rng_e <= atoms_tree.npoints:
             raise ValueError(  # lint: ignore[RPR007] — API arg check
                 "atom_range out of bounds")
+        a_start = np.clip(a_start, rng_s, rng_e)
+        a_end = np.clip(a_end, rng_s, rng_e)
 
     s_node = np.zeros(atoms_tree.nnodes, dtype=np.float64)
     s_atom = np.zeros(atoms_tree.npoints, dtype=np.float64)
@@ -195,41 +197,18 @@ def approx_integrals(atoms_tree: Octree,
         walk = born_far_field(atoms_tree, s_node, q_tree.center[leaf_ids],
                               q_tree.radius[leaf_ids], q_wn, params,
                               atom_range)
-    counts = TraversalCounts(int(walk.visits.sum()), int(walk.far.sum()))
-    exact_q = np.zeros(len(leaf_ids), dtype=np.int64)
-    per_source = PerSourceCounts(walk.visits, walk.far, exact_q)
-
-    # Exact leaf–leaf blocks, grouped by atoms leaf so each group is a
-    # single vector kernel over (atoms × gathered q-points).
-    if len(walk.near_nodes):
-        with span("born.approx_integrals.near"):
-            na, nq_rows = walk.near_nodes, walk.near_src
-            order = np.argsort(na, kind="stable")
-            na, nq_rows = na[order], nq_rows[order]
-            # One take gathers a group's q-point and w·n rows.
-            qrows = np.vstack([q_tree.points.T, weighted_normals_sorted.T])
-            q_starts = q_tree.start[leaf_ids]
-            q_ends = q_tree.end[leaf_ids]
-            uniq, first = np.unique(na, return_index=True)
-            bounds = np.append(first, len(na))
-            for u, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
-                rows = nq_rows[lo:hi]
-                qsel = ranges_to_indices(q_starts[rows], q_ends[rows])
-                a_lo, a_hi = int(atoms_tree.start[u]), int(atoms_tree.end[u])
-                if atom_range is not None:
-                    a_lo, a_hi = max(a_lo, rng_s), min(a_hi, rng_e)
-                    if a_lo >= a_hi:
-                        continue
-                q = np.take(qrows, qsel, axis=1)
-                s_atom[a_lo:a_hi] += born_integral_block(
-                    atoms_tree.points[a_lo:a_hi], q[:3].T, q[3:].T,
-                    params.approx_math)
-                counts.near_pair_blocks += len(rows)
-                counts.exact_interactions += (a_hi - a_lo) * len(qsel)
-                np.add.at(exact_q, rows,
-                          (a_hi - a_lo) * (q_ends[rows] - q_starts[rows]))
-
-    return s_node, s_atom, counts, per_source
+    with span("born.approx_integrals.near"):
+        pairs = born_near_field(
+            walk.near_nodes, leaf_ids[walk.near_src],
+            NearTable(atoms_tree.points.T, a_start, a_end),
+            NearTable.of(q_tree, weighted_normals_sorted), s_atom,
+            params.approx_math)
+    counts = TraversalCounts(int(walk.visits.sum()), int(walk.far.sum()),
+                             len(pairs), int(pairs.sum()))
+    exact_q = np.bincount(walk.near_src, weights=pairs,
+                          minlength=len(leaf_ids)).astype(np.int64)
+    return (s_node, s_atom, counts,
+            PerSourceCounts(walk.visits, walk.far, exact_q))
 
 
 def ancestor_prefix(tree: Octree, s_node: np.ndarray) -> np.ndarray:

@@ -33,10 +33,8 @@ from repro.core.born_octree import (
     push_integrals_to_atoms,
 )
 from repro.core.energy_octree import EpolResult, build_charge_buckets
-from repro.core.gb import (born_far_terms, born_integral_block,
-                           bucket_far_energy, energy_prefactor,
-                           pair_energy_matrix)
-from repro.geomutil import ranges_to_indices
+from repro.core.frontier import NearTable, born_near_field, epol_near_field
+from repro.core.gb import born_far_terms, bucket_far_energy, energy_prefactor
 from repro.obs import record_bucket_metrics, record_traversal_metrics
 from repro.constants import TAU_WATER
 from repro.molecules.molecule import Molecule
@@ -131,14 +129,15 @@ def _dual_descend(tree_a: Octree, tree_b: Octree, accept, far_step
 
 
 def _per_leaf_counts(tree: Octree, visits_by_node: np.ndarray,
-                     far_by_node: np.ndarray,
-                     exact_by_leaf: np.ndarray) -> PerSourceCounts:
+                     far_by_node: np.ndarray, exact_leaf: np.ndarray,
+                     exact_pairs: np.ndarray) -> PerSourceCounts:
     """Attribute internal-node visits and far evaluations down to leaves.
 
     A visit or far evaluation at internal node ``A`` stands for work on
     behalf of all atoms under ``A``; we apportion it to descendant
     leaves in proportion to their point counts, so the per-leaf task
-    costs sum to the traversal totals.
+    costs sum to the traversal totals.  Exact pairs go to the leaf
+    ``exact_leaf`` names for each exact block.
     """
     node_counts = (tree.end - tree.start).astype(np.float64)
     leaves = tree.leaves
@@ -152,7 +151,8 @@ def _per_leaf_counts(tree: Octree, visits_by_node: np.ndarray,
     return PerSourceCounts(
         visits=to_leaves(visits_by_node),
         far=to_leaves(far_by_node),
-        exact_interactions=exact_by_leaf[leaves],
+        exact_interactions=np.bincount(exact_leaf, weights=exact_pairs,
+                                       minlength=tree.nnodes)[leaves],
     )
 
 
@@ -176,7 +176,6 @@ def born_radii_dualtree(molecule: Molecule,
     # Per-atoms-node far-evaluation tallies; pushed down to leaves at the
     # end to feed the OCT_CILK intra-node task model.
     far_by_anode = np.zeros(atoms_tree.nnodes, dtype=np.float64)
-    exact_by_aleaf = np.zeros(atoms_tree.nnodes, dtype=np.float64)
 
     def deposit(fa, fq, d, r2):
         np.add.at(s_node, fa,
@@ -188,31 +187,18 @@ def born_radii_dualtree(molecule: Molecule,
         lambda a, q, r, rsum: _born_far_mask(r, DUAL_MAC_SAFETY * rsum,
                                              params),
         deposit)
-    counts = TraversalCounts(int(visits_by_anode.sum()), far_n)
-
-    if len(ea):
-        order = np.argsort(ea, kind="stable")
-        ea, eq = ea[order], eq[order]
-        uniq, first = np.unique(ea, return_index=True)
-        bounds = np.append(first, len(ea))
-        for u, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
-            qsel = ranges_to_indices(q_tree.start[eq[lo:hi]],
-                                     q_tree.end[eq[lo:hi]])
-            asl = atoms_tree.slice_of(int(u))
-            s_atom[asl] += born_integral_block(
-                atoms_tree.points[asl], q_tree.points[qsel],
-                wn_sorted[qsel], params.approx_math)
-            pairs = (asl.stop - asl.start) * len(qsel)
-            counts.near_pair_blocks += hi - lo
-            counts.exact_interactions += pairs
-            exact_by_aleaf[int(u)] += pairs
+    pairs = born_near_field(ea, eq, NearTable.of(atoms_tree),
+                            NearTable.of(q_tree, wn_sorted), s_atom,
+                            params.approx_math)
+    counts = TraversalCounts(int(visits_by_anode.sum()), far_n, len(ea),
+                             int(pairs.sum()))
 
     intrinsic_sorted = molecule.radii[atoms_tree.perm]
     radii_sorted = push_integrals_to_atoms(atoms_tree, s_node, s_atom,
                                            intrinsic_sorted)
     radii = atoms_tree.scatter_to_original(radii_sorted)
     per_source = _per_leaf_counts(atoms_tree, visits_by_anode, far_by_anode,
-                                  exact_by_aleaf)
+                                  ea, pairs)
     record_traversal_metrics("born", counts, per_source)
     return BornResult(radii=radii, s_node=s_node, s_atom=s_atom,
                       counts=counts, atoms_tree=atoms_tree,
@@ -238,7 +224,6 @@ def epol_dualtree(molecule: Molecule,
                                    params.eps_epol)
     mac = DUAL_MAC_SAFETY * (1.0 + 2.0 / params.eps_epol)
     far_by_unode = np.zeros(atoms_tree.nnodes, dtype=np.float64)
-    exact_by_vleaf = np.zeros(atoms_tree.nnodes, dtype=np.float64)
     total = 0.0
 
     def far_step(fu, fv, d, r2):
@@ -252,29 +237,13 @@ def epol_dualtree(molecule: Molecule,
     eu, ev, visits_by_unode, far_n = _dual_descend(
         atoms_tree, atoms_tree,
         lambda u, v, r, rsum: (u != v) & (r > rsum * mac), far_step)
-    counts = TraversalCounts(int(visits_by_unode.sum()), far_n)
-
-    if len(eu):
-        order = np.argsort(ev, kind="stable")
-        eu, ev = eu[order], ev[order]
-        pts = atoms_tree.points
-        uniq, first = np.unique(ev, return_index=True)
-        bounds = np.append(first, len(ev))
-        for v, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
-            usel = ranges_to_indices(atoms_tree.start[eu[lo:hi]],
-                                     atoms_tree.end[eu[lo:hi]])
-            vsl = atoms_tree.slice_of(int(v))
-            total += pair_energy_matrix(
-                pts[usel], q_sorted[usel], R_sorted[usel],
-                pts[vsl], q_sorted[vsl], R_sorted[vsl],
-                approx_math=params.approx_math)
-            pairs = len(usel) * (vsl.stop - vsl.start)
-            counts.near_pair_blocks += hi - lo
-            counts.exact_interactions += pairs
-            exact_by_vleaf[int(v)] += pairs
-
+    atoms = NearTable.of(atoms_tree, q_sorted, R_sorted)
+    total, pairs = epol_near_field(eu, ev, atoms, atoms, params.approx_math,
+                                   total)
+    counts = TraversalCounts(int(visits_by_unode.sum()), far_n, len(eu),
+                             int(pairs.sum()))
     per_source = _per_leaf_counts(atoms_tree, visits_by_unode, far_by_unode,
-                                  exact_by_vleaf)
+                                  ev, pairs)
     record_traversal_metrics("epol", counts, per_source)
     record_bucket_metrics(buckets)
     return EpolResult(energy=energy_prefactor(tau) * total, counts=counts,

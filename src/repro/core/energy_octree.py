@@ -32,10 +32,8 @@ import numpy as np
 from repro.config import ApproxParams
 from repro.constants import TAU_WATER
 from repro.core.born_octree import PerSourceCounts, TraversalCounts
-from repro.core.frontier import descend
-from repro.core.gb import (bucket_far_energy, energy_prefactor,
-                           pair_energy_matrix)
-from repro.geomutil import ranges_to_indices
+from repro.core.frontier import NearTable, descend, epol_near_field
+from repro.core.gb import bucket_far_energy, energy_prefactor
 from repro.obs import (
     record_bucket_metrics,
     record_traversal_metrics,
@@ -178,49 +176,16 @@ def approx_epol_for_leaves(atoms_tree: Octree,
                        atoms_tree.radius[leaf_ids],
                        lambda u, r, rsum: ~is_leaf[u] & (r > rsum * mac),
                        far_step)
-    counts = TraversalCounts(int(walk.visits.sum()), int(walk.far.sum()))
-    pv_exact = np.zeros(len(leaf_ids), dtype=np.int64)
-    per_source = PerSourceCounts(walk.visits, walk.far, pv_exact)
-
-    # Exact leaf blocks (U = eu[i], V = leaf_ids[ev[i]]).  A block whose
-    # mirror (V, U) is exact in this call too runs once, as the pair with
-    # the lower U id, with U's charges doubled (exact in floating point);
-    # diagonal and one-way blocks run once as they are.  The counts still
-    # tally every ordered block and pair.
-    if len(walk.near_nodes):
-        with span("epol.traversal.near"):
-            eu, ev = walk.near_nodes, walk.near_src
-            start, end = atoms_tree.start, atoms_tree.end
-            vn = leaf_ids[ev]
-            sizes = end - start
-            pairs = sizes[eu] * sizes[vn]
-            counts.near_pair_blocks += len(eu)
-            counts.exact_interactions += int(pairs.sum())
-            pv_exact += np.bincount(ev, weights=pairs,
-                                    minlength=len(leaf_ids)).astype(np.int64)
-            nn = atoms_tree.nnodes
-            mutual = (eu != vn) & np.isin(vn * nn + eu, eu * nn + vn)
-            run = np.flatnonzero(~mutual | (eu < vn))
-            # Group by V so each group runs as one (V atoms × gathered U
-            # atoms) kernel; one take gathers the U atoms' x, y, z, q, R.
-            run = run[np.argsort(ev[run], kind="stable")]
-            eu, ev = eu[run], ev[run]
-            weight = np.where(mutual[run], 2.0, 1.0)
-            atoms = np.vstack([atoms_tree.points.T, charges_sorted,
-                               born_sorted])
-            uniq, first = np.unique(ev, return_index=True)
-            bounds = np.append(first, len(ev))
-            for vrow, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
-                us = eu[lo:hi]
-                u = np.take(atoms, ranges_to_indices(start[us], end[us]),
-                            axis=1)
-                u[3] *= np.repeat(weight[lo:hi], sizes[us])
-                v = atoms[:, atoms_tree.slice_of(int(leaf_ids[vrow]))]
-                total += pair_energy_matrix(
-                    u[:3].T, u[3], u[4], v[:3].T, v[3], v[4],
-                    approx_math=params.approx_math)
-
-    return total, counts, per_source
+    with span("epol.traversal.near"):
+        atoms = NearTable.of(atoms_tree, charges_sorted, born_sorted)
+        total, pairs = epol_near_field(
+            walk.near_nodes, leaf_ids[walk.near_src], atoms, atoms,
+            params.approx_math, total)
+    counts = TraversalCounts(int(walk.visits.sum()), int(walk.far.sum()),
+                             len(pairs), int(pairs.sum()))
+    pv_exact = np.bincount(walk.near_src, weights=pairs,
+                           minlength=len(leaf_ids)).astype(np.int64)
+    return total, counts, PerSourceCounts(walk.visits, walk.far, pv_exact)
 
 
 @dataclass

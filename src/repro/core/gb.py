@@ -12,16 +12,20 @@ where the double sum runs over *ordered* pairs including ``i == j``
 (``f_GB(i,i) = R_i``), ``τ = 1 − 1/ε_solv`` and ``C`` is Coulomb's
 constant in kcal·Å/(mol·e²).
 
-"Approximate math" (paper §V-C: ~1.42× faster, 4–5 % error shift)
-is reproduced with genuinely lower-precision kernels: a bit-trick
-reciprocal square root with one Newton step and a (1 + x/64)⁶⁴
-exponential.
+"Approximate math" (paper §V-C) is reproduced with genuinely
+lower-precision kernels: a bit-trick reciprocal square root with two
+Newton steps and a (1 + x/64)⁶⁴ exponential.  They reproduce the
+paper's precision, not its speed: emulated in numpy they are slower
+than ``np.sqrt``/``np.exp`` (octree passes take 1.5–1.75× as long) and
+move E_pol by about 0.01 %.  The paper's ~1.42× speedup exists only in
+virtual time, as ``repro.cluster.costmodel.APPROX_MATH_SPEEDUP``.
 
 It also holds the only pair kernels, an exact and a far-field one per
 phase, which every solver shares: :func:`pair_energy_matrix` and
 :func:`born_integral_block` for exact leaf blocks (docs/ALGORITHMS.md
-§9), :func:`bucket_far_energy` and :func:`born_far_terms` for far pairs
-(§10).
+§9; the tree solvers reach them through the near-field helpers of
+:mod:`repro.core.frontier`), :func:`bucket_far_energy` and
+:func:`born_far_terms` for far pairs (§10).
 """
 
 from __future__ import annotations

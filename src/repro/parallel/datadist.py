@@ -51,9 +51,9 @@ from repro.core.born_octree import (
 from repro.core.energy_octree import (ChargeBuckets,
                                       approx_epol_for_leaves,
                                       build_charge_buckets)
-from repro.core.frontier import Descent, descend
-from repro.core.gb import (born_integral_block, bucket_far_energy,
-                           energy_prefactor, pair_energy_matrix)
+from repro.core.frontier import (Descent, NearTable, born_near_field,
+                                 descend, epol_near_field)
+from repro.core.gb import bucket_far_energy, energy_prefactor
 from repro.molecules.molecule import Molecule
 from repro.octree import morton
 from repro.octree.build import Octree, build_octree
@@ -127,26 +127,14 @@ class DataDistOutcome:
     ghost_atoms: int
 
 
-def _exact_remote_born(atoms_tree: Octree, s_atom: np.ndarray,
-                       need_a: np.ndarray, need_q: np.ndarray,
-                       ghost_pts: Dict[int, np.ndarray],
-                       ghost_wn: Dict[int, np.ndarray],
-                       params: ApproxParams) -> int:
-    """Exact near contributions from fetched remote Q-leaf points."""
-    interactions = 0
-    order = np.argsort(need_a, kind="stable")
-    need_a, need_q = need_a[order], need_q[order]
-    uniq, first = np.unique(need_a, return_index=True)
-    bounds = np.append(first, len(need_a))
-    for u, lo, hi in zip(uniq, bounds[:-1], bounds[1:]):
-        rows = need_q[lo:hi]
-        pts = np.vstack([ghost_pts[int(rw)] for rw in rows])
-        wn = np.vstack([ghost_wn[int(rw)] for rw in rows])
-        sl = atoms_tree.slice_of(int(u))
-        s_atom[sl] += born_integral_block(atoms_tree.points[sl], pts, wn,
-                                          params.approx_math)
-        interactions += (sl.stop - sl.start) * len(pts)
-    return interactions
+def _ghost_table(payload: Dict[int, tuple], peer, width: int) -> NearTable:
+    """A peer's fetched rows, each placed at the peer's own ``[start,
+    end)`` offsets (``peer`` is its :class:`QLeafSummaries` or
+    :class:`AtomTreeSummary`); the ranges it did not send stay zero."""
+    cols = np.zeros((width, int(peer.end.max(initial=0))), dtype=np.float64)
+    for key, parts in payload.items():
+        cols[:, peer.start[key]:peer.end[key]] = np.column_stack(parts).T
+    return NearTable(cols, peer.start, peer.end)
 
 
 def _remote_epol_far_field(atoms_tree: Octree, buckets: ChargeBuckets,
@@ -317,21 +305,21 @@ def run_data_distributed(molecule: Molecule,
             comm.send(payload, dest=s, tag=1)
         ghost_qpoints = 0
         ghost_bytes = 0
+        atoms = NearTable.of(atoms_tree)
         for s in range(comm.size):
             if s == comm.rank:
                 continue
             payload = comm.recv(source=s, tag=1)
-            gpts = {row: p for row, (p, w) in payload.items()}
-            gwn = {row: w for row, (p, w) in payload.items()}
-            ghost_qpoints += sum(len(p) for p in gpts.values())
-            ghost_bytes += (sum(p.nbytes for p in gpts.values())
-                            + sum(w.nbytes for w in gwn.values()))
+            ghost_qpoints += sum(len(p) for p, _ in payload.values())
+            ghost_bytes += sum(p.nbytes + w.nbytes
+                               for p, w in payload.values())
             na, nq = pending[s]
             if len(na):
-                inter = _exact_remote_born(atoms_tree, s_atom, na, nq,
-                                           gpts, gwn, params)
-                comm.compute(cost.born_compute_seconds(0, 0, inter,
-                                                       params.approx_math))
+                pairs = born_near_field(
+                    na, nq, atoms, _ghost_table(payload, all_qsum[s], 6),
+                    s_atom, params.approx_math)
+                comm.compute(cost.born_compute_seconds(
+                    0, 0, int(pairs.sum()), params.approx_math))
 
         intrinsic_sorted = local.radii[atoms_tree.perm]
         radii_sorted = push_integrals_to_atoms(atoms_tree, s_node, s_atom,
@@ -387,6 +375,7 @@ def run_data_distributed(molecule: Molecule,
                                  R_sorted[sl])
             comm.send(payload, dest=s, tag=2)
         ghost_atoms = 0
+        local_atoms = NearTable.of(atoms_tree, q_sorted, R_sorted)
         for s in range(comm.size):
             if s == comm.rank:
                 continue
@@ -394,18 +383,14 @@ def run_data_distributed(molecule: Molecule,
             ghost_atoms += sum(len(p) for p, _, _ in payload.values())
             ghost_bytes += sum(p.nbytes + qq.nbytes + rr.nbytes
                                for p, qq, rr in payload.values())
-            inter = 0
             walk = need_atoms[s]
-            for vleaf_row, unode in zip(walk.near_src.tolist(),
-                                        walk.near_nodes.tolist()):
-                gp, gq, gR = payload[unode]
-                vsl = atoms_tree.slice_of(int(atoms_tree.leaves[vleaf_row]))
-                raw += pair_energy_matrix(
-                    atoms_tree.points[vsl], q_sorted[vsl], R_sorted[vsl],
-                    gp, gq, gR, approx_math=params.approx_math)
-                inter += (vsl.stop - vsl.start) * len(gp)
+            raw, pairs = epol_near_field(
+                walk.near_nodes, atoms_tree.leaves[walk.near_src],
+                _ghost_table(payload, all_asum[s], 5), local_atoms,
+                params.approx_math, raw)
             comm.compute(cost.epol_compute_seconds(
-                0, 0, inter, buckets.nbuckets, params.approx_math))
+                0, 0, int(pairs.sum()), buckets.nbuckets,
+                params.approx_math))
 
         comm.charge_memory(block_bytes + summary_bytes + ghost_bytes)
         total_raw = comm.reduce(raw, root=0)

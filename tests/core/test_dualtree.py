@@ -3,14 +3,21 @@
 import numpy as np
 import pytest
 
+import repro.core.dualtree as dualtree
+import repro.core.frontier as frontier
 from repro.config import ApproxParams
+from repro.core import gb
 from repro.core.born_naive import born_radii_naive_r6
+from repro.core.born_octree import TraversalCounts
 from repro.core.dualtree import (
+    DUAL_MAC_SAFETY,
+    _dual_descend,
     born_radii_dualtree,
     epol_dualtree,
     node_aggregates,
 )
 from repro.core.energy_naive import epol_naive
+from repro.core.energy_octree import build_charge_buckets
 from repro.octree.build import build_octree
 
 
@@ -102,3 +109,60 @@ class TestEpolDualtree:
         ref = epol_naive(protein_medium, R)
         got = epol_dualtree(protein_medium, R).energy
         assert abs(got - ref) / abs(ref) < 0.02
+
+
+def _ordered_block_reference(mol, R, params):
+    """The dual-tree energy with every exact block evaluated in both
+    orders: the per-V-leaf loop the mutual-block rule replaced."""
+    tree = build_octree(mol.positions, params.leaf_size, params.max_depth)
+    q, Rs = mol.charges[tree.perm], R[tree.perm]
+    buckets = build_charge_buckets(tree, q, Rs, params.eps_epol)
+    mac = DUAL_MAC_SAFETY * (1.0 + 2.0 / params.eps_epol)
+    far = [0.0]
+
+    def far_step(u, v, d, r2):
+        far[0] = gb.bucket_far_energy(r2, buckets.table, u, buckets.table, v,
+                                      buckets.products, params.approx_math,
+                                      far[0])
+
+    eu, ev, visits, far_n = _dual_descend(
+        tree, tree, lambda u, v, r, rsum: (u != v) & (r > rsum * mac),
+        far_step)
+    total, exact = far[0], 0
+    for u, v in zip(eu, ev):
+        us, vs = tree.slice_of(u), tree.slice_of(v)
+        total += gb.pair_energy_matrix(tree.points[us], q[us], Rs[us],
+                                       tree.points[vs], q[vs], Rs[vs],
+                                       params.approx_math)
+        exact += (us.stop - us.start) * (vs.stop - vs.start)
+    counts = TraversalCounts(int(visits.sum()), far_n, len(eu), exact)
+    return gb.energy_prefactor() * total, counts
+
+
+class TestEpolDualtreeMutualBlocks:
+    @pytest.mark.parametrize("approx_math", [False, True])
+    def test_matches_ordered_block_reference(self, protein_small,
+                                             approx_math):
+        R = born_radii_naive_r6(protein_small)
+        params = ApproxParams(approx_math=approx_math)
+        res = epol_dualtree(protein_small, R, params)
+        want, want_counts = _ordered_block_reference(protein_small, R,
+                                                     params)
+        assert res.energy == pytest.approx(want, rel=1e-12)
+        assert vars(res.counts) == vars(want_counts)
+
+    def test_runs_mutual_blocks_once(self, protein_small, monkeypatch):
+        """Almost every exact block has an exact mirror, so the kernel
+        sees little over half of the ordered exact pairs."""
+        evaluated = []
+
+        def counting(pos_i, q_i, R_i, pos_j, q_j, R_j, approx_math=False):
+            evaluated.append(len(q_i) * len(q_j))
+            return gb.pair_energy_matrix(pos_i, q_i, R_i, pos_j, q_j, R_j,
+                                         approx_math)
+
+        for module in (dualtree, frontier):
+            monkeypatch.setattr(module, "pair_energy_matrix", counting,
+                                raising=False)
+        res = epol_dualtree(protein_small, born_radii_naive_r6(protein_small))
+        assert sum(evaluated) <= 0.6 * res.counts.exact_interactions
