@@ -789,8 +789,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="JSON workload file (see repro.serve."
                                 "workload.load_workload)")
     p.add_argument("--workers", type=int, default=2,
-                   help="worker threads (default 2; per shard with "
-                        "--shards)")
+                   help="worker threads of the single service, or of "
+                        "each thread shard with --shards (default 2); "
+                        "a process shard solves one request at a time")
     p.add_argument("--shards", type=int, default=None, metavar="N",
                    help="serve through an N-shard fleet (consistent-"
                         "hash router, per-shard breakers, heartbeat "

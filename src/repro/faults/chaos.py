@@ -800,10 +800,13 @@ def _fleet_stall_failover(seed: int, natoms: int, tmpdir: str,
                              cache_dir=f"{tmpdir}/stall{run}")
         tickets = [fleet.submit(r) for r in reqs]
         verdicts = fleet.supervisor.probe()
+        # Read before _collect closes the fleet: a closed shard never
+        # answers a ping.
+        alive = fleet.shards[stalled].ping()
         summary = _collect(fleet, tickets)
         summary["verdicts"] = {str(k): v
                                for k, v in sorted(verdicts.items())}
-        summary["stalled_alive"] = fleet.shards[stalled].ping()
+        summary["stalled_alive"] = alive
         return summary
 
     s1, s2 = once(1), once(2)

@@ -99,14 +99,24 @@ class SolveRequest:
         key.  The fleet router hashes this onto its ring so that
         repeats of the same molecule land on the same shard (memory-
         tier cache affinity) even when tenants attach distinct
-        idempotency keys."""
-        mol, surf = self.molecule, self.molecule.surface
-        return "req-" + arrays_fingerprint(
-            mol.positions, mol.charges, mol.radii,
-            surf.points if surf is not None else None,
-            surf.normals if surf is not None else None,
-            surf.weights if surf is not None else None,
-            extra=f"{self.params!r},{self.method},tau={self.tau!r}")
+        idempotency keys.
+
+        Hashed once per request (the router and a process shard both
+        ask): a request is a snapshot, so its molecule must not change
+        while the request is in use.
+        """
+        key = self.__dict__.get("_route_key")
+        if key is None:
+            mol, surf = self.molecule, self.molecule.surface
+            key = "req-" + arrays_fingerprint(
+                mol.positions, mol.charges, mol.radii,
+                surf.points if surf is not None else None,
+                surf.normals if surf is not None else None,
+                surf.weights if surf is not None else None,
+                extra=f"{self.params!r},{self.method},tau={self.tau!r}")
+            # Frozen: the memo goes round the blocked __setattr__.
+            object.__setattr__(self, "_route_key", key)
+        return key
 
 
 @dataclass

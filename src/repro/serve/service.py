@@ -50,7 +50,8 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Union
+from typing import (Callable, Deque, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -87,8 +88,9 @@ from repro.serve.resilience import (
     RetryPolicy,
 )
 
-__all__ = ["SolveService", "Ticket", "ServeStats",
-           "LATENCY_BOUNDS_SECONDS", "LATENCY_WINDOW", "CANCELLED_MARK"]
+__all__ = ["SolveService", "Ticket", "ServeStats", "solve_cached",
+           "failed_on_raise", "LATENCY_BOUNDS_SECONDS", "LATENCY_WINDOW",
+           "CANCELLED_MARK"]
 
 #: Error prefix marking a result produced by :meth:`SolveService.cancel`
 #: rather than by execution — the fleet router skips these when
@@ -693,34 +695,19 @@ class SolveService:
                     if ticket.done():
                         self._note_hedge_loss(job)
                         return
-                try:
-                    with obs.span("serve.request", cat="serve",
-                                  method=req.method,
-                                  natoms=req.molecule.natoms,
-                                  key=ticket.key[:16]):
-                        result = self._solve(req, ticket.key)
-                except DiagnosticError as exc:
-                    result = SolveResult(key=ticket.key,
-                                         status="failed",
-                                         method=req.method,
-                                         error=str(exc))
-                    self._observe_counter("serve.failures")
-                    with self._lock:
-                        self._stats.failed += 1
-                except Exception as exc:  # lint: ignore[RPR003]
-                    # Anything a solve can throw — OSError from the
-                    # disk cache tier, a numpy shape error — is a
-                    # retryable failure when a RetryPolicy is armed,
-                    # and otherwise a failed *result*, never a dead
-                    # worker thread: the rest of the popped batch must
-                    # still run and every ticket must resolve.
-                    if self._maybe_retry(job, exc):
+                with obs.span("serve.request", cat="serve",
+                              method=req.method,
+                              natoms=req.molecule.natoms,
+                              key=ticket.key[:16]):
+                    result, exc = failed_on_raise(self._solve, req,
+                                                  ticket.key)
+                if exc is not None:
+                    # A DiagnosticError is terminal; anything else is
+                    # retryable when a RetryPolicy is armed.
+                    if not isinstance(exc, DiagnosticError) \
+                            and self._maybe_retry(job, exc):
                         retried = True
                         return
-                    result = SolveResult(
-                        key=ticket.key, status="failed",
-                        method=req.method,
-                        error=f"{type(exc).__name__}: {exc}")
                     self._observe_counter("serve.failures")
                     with self._lock:
                         self._stats.failed += 1
@@ -780,102 +767,9 @@ class SolveService:
 
     # -- the solve ---------------------------------------------------------
 
-    def _surfaced(self, molecule: Molecule) -> Molecule:
-        """Attach a surface, reusing the cached samples when present."""
-        if molecule.surface is not None:
-            return molecule
-        skey = surface_key(molecule)
-        hit = self.cache.get(skey)
-        if isinstance(hit, CachedArrays):
-            return Molecule(molecule.positions, molecule.charges,
-                            molecule.radii,
-                            surface=SurfaceSamples(**hit.arrays),
-                            name=molecule.name)
-        with obs.span("serve.sample_surface", cat="serve",
-                      natoms=molecule.natoms):
-            molecule = sample_surface(molecule)
-        surf = molecule.require_surface()
-        self.cache.put(skey, CachedArrays(
-            {"points": surf.points, "normals": surf.normals,
-             "weights": surf.weights}))
-        return molecule
-
     def _solve(self, req: SolveRequest, key: str) -> SolveResult:
-        mol = self._surfaced(req.molecule)
-        ekey = epol_key(mol, req.params, req.method, req.tau)
-        hit = self.cache.get(ekey)
-        if isinstance(hit, CachedArrays):
-            # Full-result hit: stored float64 arrays are bit-exact, so
-            # this is the cold result, byte for byte.
-            return SolveResult(
-                key=key, status=str(hit.meta.get("status", "ok")),
-                energy=float(hit.arrays["energy"]),
-                born_radii=np.asarray(hit.arrays["radii"],
-                                      dtype=np.float64),
-                method=str(hit.meta.get("method", req.method)),
-                rung=str(hit.meta.get("rung", "")),
-                degradations=int(hit.meta.get("degradations", 0)),
-                cache="epol")
-
-        warm, level = self._warm_start(mol, req)
-        guarded = GuardedSolver(mol, req.params, method=req.method,
-                                tau=req.tau, warm=warm)
-        report = guarded.report()
-        self._store_artifacts(mol, req, ekey, report, guarded, warm)
-        status = "degraded" if report.degradations else "ok"
-        return SolveResult(
-            key=key, status=status, energy=report.energy,
-            born_radii=report.born_radii, method=report.method,
-            rung=report.rung, degradations=report.degradations,
-            guard_events=list(report.events), cache=level)
-
-    def _warm_start(self, mol: Molecule,
-                    req: SolveRequest) -> "tuple[Optional[WarmStart], str]":
-        """Deepest cached artifacts for this request, plus the level
-        label ('born' ⊃ 'trees' ⊃ 'cold')."""
-        if req.method == "naive":
-            return None, "cold"
-        atoms_tree = q_tree = None
-        trees = self.cache.get(trees_key(mol, req.params))
-        if isinstance(trees, tuple) and len(trees) == 2:
-            atoms_tree, q_tree = trees
-        radii = None
-        born = self.cache.get(born_key(mol, req.params, req.method))
-        if isinstance(born, CachedArrays):
-            radii = np.asarray(born.arrays["radii"], dtype=np.float64)
-        if atoms_tree is None and radii is None:
-            return None, "cold"
-        level = "born" if radii is not None else "trees"
-        return WarmStart(atoms_tree=atoms_tree, q_tree=q_tree,
-                         born_radii=radii), level
-
-    def _store_artifacts(self, mol: Molecule, req: SolveRequest,
-                         ekey: str, report, guarded: GuardedSolver,
-                         warm: Optional[WarmStart]) -> None:
-        primary = report.rung == "primary" or \
-            report.rung.startswith("retry")
-        inner = guarded.inner_solver
-        if inner is not None and req.method != "naive" \
-                and inner._atoms_tree is not None \
-                and inner._q_tree is not None \
-                and (warm is None or warm.atoms_tree is None):
-            self.cache.put(trees_key(mol, req.params),
-                           (inner._atoms_tree, inner._q_tree))
-        if primary and (warm is None or warm.born_radii is None):
-            # Radii of the requested (un-tightened) params only — a
-            # degraded rung's radii answer different parameters and
-            # must not poison the primary key.
-            self.cache.put(
-                born_key(mol, req.params, req.method),
-                CachedArrays({"radii": np.asarray(report.born_radii,
-                                                  dtype=np.float64)}))
-        self.cache.put(ekey, CachedArrays(
-            {"radii": np.asarray(report.born_radii, dtype=np.float64),
-             "energy": np.asarray(float(report.energy))},
-            meta={"status": ("degraded" if report.degradations
-                             else "ok"),
-                  "method": report.method, "rung": report.rung,
-                  "degradations": int(report.degradations)}))
+        """The solve step (a process shard runs it in its child)."""
+        return solve_cached(self.cache, req, key)
 
     # -- stats -------------------------------------------------------------
 
@@ -913,3 +807,138 @@ class SolveService:
             )
         snap.cache = self.cache.stats()
         return snap
+
+
+# -- the cached solve ------------------------------------------------------
+
+
+def failed_on_raise(solve: Callable[[SolveRequest, str], SolveResult],
+                    req: SolveRequest, key: str
+                    ) -> Tuple[SolveResult, Optional[Exception]]:
+    """``solve(req, key)``, with a raise turned into a ``failed`` result.
+
+    Anything a solve can throw — OSError from the disk cache tier, a
+    numpy shape error — is a failed *result*, never a dead worker
+    thread or shard child: the rest of a popped batch must still run
+    and every ticket must resolve.  The error reads ``str(exc)`` for a
+    :class:`DiagnosticError` and ``"Type: message"`` otherwise; the
+    exception comes back too, so a service can retry it.
+    """
+    try:
+        return solve(req, key), None
+    except Exception as exc:  # lint: ignore[RPR003]
+        error = (str(exc) if isinstance(exc, DiagnosticError)
+                 else f"{type(exc).__name__}: {exc}")
+        return SolveResult(key=key, status="failed", method=req.method,
+                           error=error), exc
+
+
+def solve_cached(cache: ArtifactCache, req: SolveRequest,
+                 key: str) -> SolveResult:
+    """Solve ``req`` through ``cache``'s artifact layers.
+
+    The one cached solve: a :class:`SolveService` worker and a process
+    shard's child both run it.  A full-result hit returns the stored
+    answer; otherwise the deepest cached surface, octrees and Born
+    radii warm-start a :class:`GuardedSolver`, whose outputs are
+    stored for the next request.  Raises what the solve raises.
+    """
+    mol = _surfaced(cache, req.molecule)
+    ekey = epol_key(mol, req.params, req.method, req.tau)
+    hit = cache.get(ekey)
+    if isinstance(hit, CachedArrays):
+        # Full-result hit: stored float64 arrays are bit-exact, so
+        # this is the cold result, byte for byte.
+        return SolveResult(
+            key=key, status=str(hit.meta.get("status", "ok")),
+            energy=float(hit.arrays["energy"]),
+            born_radii=np.asarray(hit.arrays["radii"],
+                                  dtype=np.float64),
+            method=str(hit.meta.get("method", req.method)),
+            rung=str(hit.meta.get("rung", "")),
+            degradations=int(hit.meta.get("degradations", 0)),
+            cache="epol")
+
+    warm, level = _warm_start(cache, mol, req)
+    guarded = GuardedSolver(mol, req.params, method=req.method,
+                            tau=req.tau, warm=warm)
+    report = guarded.report()
+    _store_artifacts(cache, mol, req, ekey, report, guarded, warm)
+    status = "degraded" if report.degradations else "ok"
+    return SolveResult(
+        key=key, status=status, energy=report.energy,
+        born_radii=report.born_radii, method=report.method,
+        rung=report.rung, degradations=report.degradations,
+        guard_events=list(report.events), cache=level)
+
+
+def _surfaced(cache: ArtifactCache, molecule: Molecule) -> Molecule:
+    """Attach a surface, reusing the cached samples when present."""
+    if molecule.surface is not None:
+        return molecule
+    skey = surface_key(molecule)
+    hit = cache.get(skey)
+    if isinstance(hit, CachedArrays):
+        return Molecule(molecule.positions, molecule.charges,
+                        molecule.radii,
+                        surface=SurfaceSamples(**hit.arrays),
+                        name=molecule.name)
+    with obs.span("serve.sample_surface", cat="serve",
+                  natoms=molecule.natoms):
+        molecule = sample_surface(molecule)
+    surf = molecule.require_surface()
+    cache.put(skey, CachedArrays(
+        {"points": surf.points, "normals": surf.normals,
+         "weights": surf.weights}))
+    return molecule
+
+
+def _warm_start(cache: ArtifactCache, mol: Molecule,
+                req: SolveRequest) -> "tuple[Optional[WarmStart], str]":
+    """Deepest cached artifacts for this request, plus the level
+    label ('born' ⊃ 'trees' ⊃ 'cold')."""
+    if req.method == "naive":
+        return None, "cold"
+    atoms_tree = q_tree = None
+    trees = cache.get(trees_key(mol, req.params))
+    if isinstance(trees, tuple) and len(trees) == 2:
+        atoms_tree, q_tree = trees
+    radii = None
+    born = cache.get(born_key(mol, req.params, req.method))
+    if isinstance(born, CachedArrays):
+        radii = np.asarray(born.arrays["radii"], dtype=np.float64)
+    if atoms_tree is None and radii is None:
+        return None, "cold"
+    level = "born" if radii is not None else "trees"
+    return WarmStart(atoms_tree=atoms_tree, q_tree=q_tree,
+                     born_radii=radii), level
+
+
+def _store_artifacts(cache: ArtifactCache, mol: Molecule,
+                     req: SolveRequest, ekey: str, report,
+                     guarded: GuardedSolver,
+                     warm: Optional[WarmStart]) -> None:
+    primary = report.rung == "primary" or \
+        report.rung.startswith("retry")
+    inner = guarded.inner_solver
+    if inner is not None and req.method != "naive" \
+            and inner._atoms_tree is not None \
+            and inner._q_tree is not None \
+            and (warm is None or warm.atoms_tree is None):
+        cache.put(trees_key(mol, req.params),
+                  (inner._atoms_tree, inner._q_tree))
+    if primary and (warm is None or warm.born_radii is None):
+        # Radii of the requested (un-tightened) params only — a
+        # degraded rung's radii answer different parameters and
+        # must not poison the primary key.
+        cache.put(
+            born_key(mol, req.params, req.method),
+            CachedArrays({"radii": np.asarray(report.born_radii,
+                                              dtype=np.float64)}))
+    cache.put(ekey, CachedArrays(
+        {"radii": np.asarray(report.born_radii, dtype=np.float64),
+         "energy": np.asarray(float(report.energy))},
+        meta={"status": ("degraded" if report.degradations
+                         else "ok"),
+              "method": report.method, "rung": report.rung,
+              "degradations": int(report.degradations)}))

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+import repro.faults.chaos as chaos
 from repro.faults.chaos import SCENARIOS, run_chaos
+from repro.fleet import ShardedFleet
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +59,23 @@ class TestFleetMatrix:
     def test_json_is_byte_deterministic_across_runs(self, report):
         again = run_chaos("fleet", seed=0, quick=True)
         assert again.to_json() == report.to_json()
+
+
+class _ProcessFleet(ShardedFleet):
+    """A fleet whose shards default to the process backend."""
+
+    def __init__(self, *args, backend="process", **kwargs):
+        super().__init__(*args, backend=backend, **kwargs)
+
+
+def test_matrix_on_process_shards_matches_thread_report(report,
+                                                        monkeypatch):
+    """The same six scenarios pass on process shards, with the thread
+    report's bytes: stalls, cancels and deadlines act in the parent's
+    service on both backends.  The header still says thread: the
+    harness has no backend switch."""
+    monkeypatch.setattr(chaos, "ShardedFleet", _ProcessFleet)
+    on_procs = run_chaos("fleet", seed=0, quick=True)
+    for res in on_procs.results:
+        assert res.passed, f"{res.name}: {res.notes}"
+    assert on_procs.to_json() == report.to_json()

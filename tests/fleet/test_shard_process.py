@@ -17,15 +17,90 @@ import pytest
 import repro
 from repro.cli import main as repro_main
 from repro.fleet import ProcessShard, ShardedFleet, ThreadShard
+from repro.fleet.shard import PROC_DIED_ERROR
 from repro.molecules import synthetic_protein
-from repro.serve import SolveRequest
+from repro.serve import QueueFullError, SolveRequest
 
 ATOMS = 60
+
+#: A cold solve of about half a second: it holds a one-worker shard
+#: while the contract tests queue requests behind it.
+HOLD_ATOMS = 3000
+
+BACKENDS = pytest.mark.parametrize("backend", [ThreadShard, ProcessShard],
+                                   ids=["thread", "process"])
 
 
 def _req(i, key=None):
     return SolveRequest(molecule=synthetic_protein(ATOMS, seed=40 + i),
                         idempotency_key=key or f"proc-{i}")
+
+
+def _hold():
+    return SolveRequest(molecule=synthetic_protein(HOLD_ATOMS, seed=1),
+                        idempotency_key="hold")
+
+
+def _small(seed, **kw):
+    return SolveRequest(molecule=synthetic_protein(200, seed=seed),
+                        idempotency_key=f"small-{seed}", **kw)
+
+
+def _wait_running(shard):
+    """Block until the shard's one worker has taken the hold off the
+    queue."""
+    deadline = time.monotonic() + 30.0
+    while shard.queue_depth and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert shard.queue_depth == 0
+
+
+@BACKENDS
+def test_queued_request_reports_its_wait(backend):
+    shard = backend(0, workers=1, batch_size=1)
+    try:
+        hold = shard.submit(_hold())
+        queued = shard.submit(_small(2))
+        first = hold.result(timeout=120.0)
+        second = queued.result(timeout=120.0)
+        assert first.status == "ok" and second.status == "ok"
+        assert first.service_seconds > 0.05
+        assert second.wait_seconds >= 0.5 * first.service_seconds
+    finally:
+        shard.close()
+
+
+@BACKENDS
+def test_full_queue_rejects_at_submit(backend):
+    shard = backend(0, workers=1, batch_size=1, queue_capacity=1)
+    try:
+        hold = shard.submit(_hold())
+        _wait_running(shard)
+        queued = shard.submit(_small(2))
+        with pytest.raises(QueueFullError):
+            shard.submit(_small(3))
+        assert hold.result(timeout=120.0).status == "ok"
+        assert queued.result(timeout=120.0).status == "ok"
+    finally:
+        shard.close()
+
+
+@BACKENDS
+def test_lower_priority_value_runs_first(backend):
+    shard = backend(0, workers=1, batch_size=1)
+    try:
+        order = []
+        hold = shard.submit(_hold())
+        _wait_running(shard)
+        late = shard.submit(_small(2, priority=5))
+        early = shard.submit(_small(3, priority=0))
+        for name, ticket in (("late", late), ("early", early)):
+            ticket.on_done(lambda _t, n=name: order.append(n))
+        results = [t.result(timeout=120.0) for t in (hold, late, early)]
+        assert all(r.status == "ok" for r in results)
+        assert order == ["early", "late"]
+    finally:
+        shard.close()
 
 
 def test_process_shard_energy_matches_thread_shard_bitwise():
@@ -60,11 +135,10 @@ def test_killed_process_shard_fails_fast_and_pings_dead():
         assert shard.submit(_req(2)).result(timeout=120.0).status == "ok"
         shard.kill()
         assert not shard.ping()
-        # a request fed to the dead child is failed by the feeder, not
-        # stranded
+        # a call after the kill fails at once, never stranded
         res = shard.submit(_req(3)).result(timeout=30.0)
         assert res.status == "failed"
-        assert "died" in res.error
+        assert res.error == PROC_DIED_ERROR
     finally:
         shard.close()
 
@@ -72,7 +146,7 @@ def test_killed_process_shard_fails_fast_and_pings_dead():
 def test_process_shard_death_reroutes_inflight_request():
     """Regression: a child dying with a request on the wire used to
     fail the fleet ticket terminally.  The router now treats the
-    feeder's died-mid-request result as a shard crash — fail-over plus
+    shard's died-mid-request result as a shard crash — fail-over plus
     re-route to the ring successor — so every ticket still lands ok."""
     reqs = [_req(30 + i) for i in range(3)]
     with ShardedFleet(shards=2, backend="process") as fleet:
@@ -122,14 +196,12 @@ def test_unknown_route_is_typed_failure_not_shard_death():
     shard = ProcessShard(0)
     try:
         req = _req(5)
-        with shard._lock:                   # withhold the payload
-            shard._sent_routes[req.route_key()] = True
+        shard._routes.add(req.route_key())  # withhold the payload
         res = shard.submit(req).result(timeout=120.0)
         assert res.status == "failed"
         assert "unknown route" in res.error
         assert shard.ping()                 # the shard survived
-        with shard._lock:
-            shard._sent_routes.pop(req.route_key())
+        shard._routes.discard(req.route_key())
         ok = shard.submit(_req(5, key="retry")).result(timeout=120.0)
         assert ok.status == "ok"
     finally:
@@ -160,7 +232,7 @@ def test_deadline_counts_match_thread_shards(tmp_path):
 
 
 def test_outbox_expiries_count_in_shard_stats():
-    """A request expired in the process feeder's outbox counts as
+    """A request expired in a process shard's queue counts as
     submitted and expired, as it does on a thread shard."""
     reqs = [SolveRequest(molecule=synthetic_protein(3000, seed=1)),
             *(SolveRequest(molecule=synthetic_protein(400, seed=s),
