@@ -413,9 +413,16 @@ def _serve_http(args: argparse.Namespace, backend, tenants) -> None:
     """``--http``: ``backend`` behind the :mod:`repro.edge` HTTP
     front-end — bearer-token tenancy, per-tenant rate limits, typed
     JSON errors, redacted request logging (docs/HTTP.md)."""
+    import signal
     import threading
 
     from repro.edge import EdgeApp, EdgeServer
+    if signal.getsignal(signal.SIGINT) is signal.SIG_IGN:
+        # A shell starts a background job (`cmd &`) with SIGINT
+        # ignored; the edge must still stop and drain on it.  Set only
+        # now, so the shard children forked with the backend keep
+        # ignoring it and finish on their pipe's EOF.
+        signal.signal(signal.SIGINT, signal.default_int_handler)
     kind = (f"{args.shards}-shard {args.shard_backend} fleet"
             if args.shards is not None
             else f"{args.workers}-worker service")

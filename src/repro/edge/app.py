@@ -320,7 +320,7 @@ class EdgeApp:
                 "shards_live": fstats.shards_live,
                 "shards_dead": fstats.shards_dead,
                 "queue_depth": sum(fstats.queue_depth.values()),
-                "outstanding": backend.router.outstanding,
+                "outstanding": backend.pending,
                 "submitted": fstats.submitted,
                 "completed": fstats.completed,
                 "shed": fstats.shed,

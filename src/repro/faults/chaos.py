@@ -418,16 +418,14 @@ def _collect(target: Union[SolveService, ShardedFleet],
     fleet = isinstance(target, ShardedFleet)
     summary: Summary = {"drained": target.drain(timeout=120.0)}
     summary["stranded"] = sum(0 if t.done() else 1 for t in tickets)
+    summary["pending"] = target.pending
     if fleet:
-        summary["pending"] = target.router.outstanding
         stats = target.stats()
         summary["fleet"] = dict(
             _counters(stats, "submitted", "rerouted", "rebalance_moves",
                       "shed", "dead", "degraded", "shards_live"),
             dispatches={str(k): v
                         for k, v in sorted(stats.dispatches.items())})
-    else:
-        summary["pending"] = target.pending
     target.close()
     results: Dict[str, Dict[str, Any]] = {}
     for t in tickets:

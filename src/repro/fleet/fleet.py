@@ -70,6 +70,11 @@ class ShardedFleet:
     def drain(self, timeout: Optional[float] = None) -> bool:
         return self.router.drain(timeout)
 
+    @property
+    def pending(self) -> int:
+        """Accepted-but-unresolved fleet requests."""
+        return self.router.pending
+
     def spawn_shard(self, shard_id: int) -> int:
         """Build + join a new shard (same backend/config, same shared
         disk tier); returns how many in-flight requests rebalanced

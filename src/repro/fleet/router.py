@@ -8,16 +8,14 @@ The :class:`ShardRouter` is the fleet's single front door:
   molecule hit the same shard's memory-tier cache and the assignment
   is a pure function of the live shard set (same seed ⇒ same shards,
   the determinism the chaos matrix asserts);
-* **fleet-level coalescing** — concurrent submits with one
-  idempotency key share one fleet ticket, exactly like a single
-  service;
-* **resilience at the dispatch edge** — a per-shard
-  :class:`~repro.serve.resilience.CircuitBreaker` (a partitioned or
-  failing shard is routed around while its breaker is open) and an
-  optional fleet-level :class:`AdmissionController` shedding load with
-  a retry-after hint before any shard queue backs up.  Admission sees
-  the router's own outstanding-entry count — deterministic state, not
-  a racy queue length;
+* **the intake** — the :class:`~repro.serve.service.Intake` a single
+  service uses: submits with one idempotency key share one fleet
+  ticket, and optional admission sheds, with a retry-after hint, on
+  the router's own outstanding-entry count (deterministic state, not
+  a racy queue length);
+* **a breaker per shard** — a partitioned or dead shard is routed
+  around while its :class:`~repro.serve.resilience.CircuitBreaker` is
+  open;
 * **failover** — :meth:`fail_over` (dead shard) and
   :meth:`quarantine` (degraded shard) revoke every unresolved entry
   from the victim via :meth:`SolveService.cancel` and re-submit the
@@ -62,7 +60,7 @@ from repro.serve.resilience import (
     BreakerPolicy,
     CircuitBreaker,
 )
-from repro.serve.service import CANCELLED_MARK, Ticket
+from repro.serve.service import CANCELLED_MARK, Intake, Ticket
 
 __all__ = ["ShardRouter", "FleetStats"]
 
@@ -124,22 +122,13 @@ class ShardRouter:
             sid: CircuitBreaker(breaker_policy,
                                 name=f"fleet.shard{sid}")
             for sid in self._shards}
-        if isinstance(admission, AdmissionController):
-            self._admission: Optional[AdmissionController] = admission
-        elif admission is not None:
-            self._admission = AdmissionController(
-                admission, workers=len(self._shards))
-        else:
-            self._admission = None
         self._lock = obs.named_lock("fleet.router._lock")
-        self._idle = obs.named_condition("fleet.router._idle",
-                                         self._lock)
-        self._entries: Dict[str, _Entry] = {}    # guarded-by: _lock
+        self._intake = Intake(self._lock, "fleet.router", admission,
+                              len(self._shards), shed_metric="fleet.shed")
         self._seq: Dict[int, int] = {
             sid: 0 for sid in self._shards}      # guarded-by: _lock
         self._dead: Set[int] = set()             # guarded-by: _lock
         self._degraded: Set[int] = set()         # guarded-by: _lock
-        self._closed = False                     # guarded-by: _lock
         self._stats = FleetStats()               # guarded-by: _lock
         self._update_gauges()
 
@@ -164,18 +153,18 @@ class ShardRouter:
                                     excluding=self._dead)
 
     @property
-    def outstanding(self) -> int:
+    def pending(self) -> int:
         """Accepted-but-unresolved fleet requests (0 after a clean
         drain — the zero-stranded-tickets invariant)."""
-        with self._lock:
-            return len(self._entries)
+        return self._intake.pending
 
     def stats(self) -> FleetStats:
         with self._lock:
             s = self._stats
             snap = FleetStats(
-                submitted=s.submitted, coalesced=s.coalesced,
-                completed=s.completed, failed=s.failed, shed=s.shed,
+                submitted=s.submitted, coalesced=self._intake.coalesced,
+                completed=s.completed, failed=s.failed,
+                shed=self._intake.shed,
                 rerouted=s.rerouted,
                 rebalance_moves=s.rebalance_moves,
                 shards_live=len(self._ring),
@@ -217,36 +206,19 @@ class ShardRouter:
         Raises :class:`ServiceOverloadedError` on admission shed and
         :class:`NoLiveShardsError` when the ring is empty.
         """
-        key = request.key()
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError()
-            if not self._ring:
-                raise NoLiveShardsError(self._dead)
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._stats.coalesced += 1
-                return entry.ticket
-            depth = len(self._entries)
-        if self._admission is not None:
-            try:
-                self._admission.check(depth)
-            except ServiceOverloadedError:
-                self._count("shed", metric="fleet.shed")
-                raise
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._stats.coalesced += 1
-                return entry.ticket
-            entry = _Entry(request=request, ticket=Ticket(key))
-            self._entries[key] = entry
-            self._stats.submitted += 1
-        if obs.is_enabled():
-            obs.registry.counter("fleet.requests",
-                                 "requests accepted by the router").inc()
-        self._dispatch(entry)
+        # Admission sheds on the fleet-wide outstanding count.
+        entry, fresh = self._intake.admit(
+            request.key(), None, lambda key: self._new_entry(request, key))
+        if fresh:
+            self._count("submitted", metric="fleet.requests")
+            self._dispatch(entry)
         return entry.ticket
+
+    def _new_entry(self, request: SolveRequest, key: str) -> _Entry:
+        # Intake.admit holds _lock here: placement needs a live shard.
+        if not self._ring:
+            raise NoLiveShardsError(self._dead)
+        return _Entry(request=request, ticket=Ticket(key))
 
     # -- dispatch ----------------------------------------------------------
 
@@ -396,26 +368,20 @@ class ShardRouter:
             result.shard = sid
         breaker = self._breakers.get(sid)
         if breaker is not None:
-            if result.status in ("ok", "degraded", "expired"):
-                breaker.record_success()
-            else:
-                breaker.record_failure()
-        if self._admission is not None and result.ok:
-            self._admission.note_service_seconds(result.service_seconds)
+            # A delivered result, failed or not, means the shard
+            # answered: a request's own failure is not the shard's.
+            breaker.record_success()
+        admission = self._intake.admission
+        if admission is not None and result.ok:
+            admission.note_service_seconds(result.service_seconds)
         self._resolve(entry, result)
 
     def _resolve(self, entry: _Entry, result: SolveResult) -> None:
-        """Exactly-once terminal bookkeeping for a fleet entry."""
-        won = entry.ticket._set(result)
-        with self._lock:
-            if self._entries.get(entry.ticket.key) is entry:
-                del self._entries[entry.ticket.key]
-                self._idle.notify_all()
-            if won:
-                if result.ok:
-                    self._stats.completed += 1
-                else:
-                    self._stats.failed += 1
+        """Terminal bookkeeping for a fleet entry; the counts land
+        before the release wakes a drain."""
+        if entry.ticket._set(result):
+            self._count("completed" if result.ok else "failed")
+        self._intake.release(entry.ticket.key, entry)
 
     # -- failover / rebalancing --------------------------------------------
 
@@ -442,7 +408,7 @@ class ShardRouter:
         count."""
         shard = self._shards[sid]
         with self._lock:
-            victims = [(shard, e) for e in self._entries.values()
+            victims = [(shard, e) for e in self._intake.entries.values()
                        if e.shard == sid and not e.ticket.done()]
         moves = 0
         for entry in self._revoke(victims, reason):
@@ -504,17 +470,17 @@ class ShardRouter:
             self._ring.add(sid)
             self._update_gauges()
             moved = [(self._shards[e.shard], e)
-                     for e in self._entries.values()
+                     for e in self._intake.entries.values()
                      if not e.ticket.done() and e.shard >= 0
                      and e.shard != self._ring.route(
                          e.request.route_key(), excluding=self._dead)]
         self._breakers.setdefault(
             sid, CircuitBreaker(self._breaker_policy,
                                 name=f"fleet.shard{sid}"))
-        if self._admission is not None:
-            self._admission.workers = max(self._admission.workers,
-                                          len(self._shards)
-                                          - len(self._dead))
+        admission = self._intake.admission
+        if admission is not None:
+            admission.workers = max(admission.workers,
+                                    len(self._shards) - len(self._dead))
         moves = 0
         for entry in self._revoke(moved, "rebalanced away"):
             moves += 1
@@ -533,15 +499,12 @@ class ShardRouter:
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Condition-wait until every accepted request has a result."""
-        with self._idle:
-            return self._idle.wait_for(lambda: not self._entries,
-                                       timeout)
+        return self._intake.drain(timeout)
 
     def close(self) -> None:
+        if not self._intake.close():
+            return
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
             shards = list(self._shards.values())
         for shard in shards:
             shard.close()

@@ -40,7 +40,7 @@ import functools
 import multiprocessing
 import threading
 import weakref
-from typing import Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional
 
 import repro.obs as obs
 from repro.faults.plan import ServeFaultPlan
@@ -53,7 +53,7 @@ from repro.serve.service import ServeStats, SolveService, Ticket, \
     failed_on_raise, solve_cached
 
 __all__ = ["ThreadShard", "ProcessShard", "STALL_ALARM_SECONDS",
-           "PROC_DIED_ERROR"]
+           "PROC_DIED_ERROR", "ROUTE_MEMO"]
 
 #: A noted stall at or above this many seconds arms the shard's
 #: ``stalled()`` probe — the deterministic signal the supervisor's
@@ -65,6 +65,13 @@ STALL_ALARM_SECONDS = 5.0
 #: shard over and re-route the request (crash semantics, not a terminal
 #: compute failure).
 PROC_DIED_ERROR = "shard process died mid-request"
+
+#: Routes whose molecule a :class:`ProcessShard`'s child keeps.  The
+#: parent's route table and the child's molecule memo both hold the
+#: latest this many and evict the oldest in step, since the parent's
+#: one worker makes every call in order.  At least the edge's
+#: ``MAX_RECIPES`` (32), so a warm HTTP working set never evicts.
+ROUTE_MEMO = 64
 
 #: Parent-side pipe ends of every live :class:`ProcessShard`.  A forked
 #: child inherits a copy of each (its own included) and closes them
@@ -196,6 +203,13 @@ class ThreadShard:
 # ---------------------------------------------------------------------------
 
 
+def _remember(memo: Dict[str, Any], route: str, value: Any) -> None:
+    """Insert ``route``, evicting the oldest past :data:`ROUTE_MEMO`."""
+    memo[route] = value
+    if len(memo) > ROUTE_MEMO:
+        del memo[next(iter(memo))]
+
+
 class _ChildStep(SolveService):
     """A :class:`SolveService` whose solve step is ``step``."""
 
@@ -213,11 +227,11 @@ def _shard_child_main(conn, shard_id: int, cache_dir: Optional[str],
     """Child-process entry: a serial solve loop until EOF.
 
     Each call is ``(key, route, request)``.  The request keeps its
-    molecule on the first call of a route only; the child keeps that
-    molecule and restores it on later calls, so warm repeats cost a
-    few hundred bytes on the wire.  The answer is the
-    :class:`SolveResult` (``failed`` when the solve raised) and the
-    cache's stats after the call.
+    molecule on the first call of a route only (or the first since the
+    route was evicted); the child keeps that molecule and restores it
+    on later calls, so warm repeats cost a few hundred bytes on the
+    wire.  The answer is the :class:`SolveResult` (``failed`` when the
+    solve raised) and the cache's stats after the call.
     """
     for end in list(_PARENT_ENDS):
         end.close()
@@ -231,7 +245,7 @@ def _shard_child_main(conn, shard_id: int, cache_dir: Optional[str],
         except EOFError:
             return
         if request.molecule is not None:
-            molecules[route] = request.molecule
+            _remember(molecules, route, request.molecule)
         molecule = molecules.get(route)
         if molecule is None:
             # A payload-less call for a route this child never got a
@@ -283,7 +297,7 @@ class ProcessShard(ThreadShard):
         # The pipe and these two belong to the one parent worker (and
         # to close() once it has joined that worker); stats() only
         # reads the snapshot, which the worker rebinds whole.
-        self._routes: Set[str] = set()      # routes the child holds
+        self._routes: Dict[str, None] = {}  # routes the child holds
         self._child_cache = CacheStats()
         # The artifacts live in the child: the parent's cache is empty.
         super().__init__(shard_id, workers=1,
@@ -300,11 +314,12 @@ class ProcessShard(ThreadShard):
         if dead:    # killed: fail at once, never touch the pipe
             raise DiagnosticError(PROC_DIED_ERROR)
         route = req.route_key()
-        wire = (req if route not in self._routes
-                else dataclasses.replace(req, molecule=None))
+        held = route in self._routes
+        wire = dataclasses.replace(req, molecule=None) if held else req
         try:
             self._conn.send((key, route, wire))
-            self._routes.add(route)
+            if not held:
+                _remember(self._routes, route, None)
             result, self._child_cache = self._conn.recv()
         except (EOFError, OSError):     # the child died
             self.kill()

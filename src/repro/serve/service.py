@@ -50,8 +50,8 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import (Callable, Deque, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Deque, Dict, List, Optional,
+                    Sequence, Sized, Tuple, Union)
 
 import numpy as np
 
@@ -88,9 +88,9 @@ from repro.serve.resilience import (
     RetryPolicy,
 )
 
-__all__ = ["SolveService", "Ticket", "ServeStats", "solve_cached",
-           "failed_on_raise", "LATENCY_BOUNDS_SECONDS", "LATENCY_WINDOW",
-           "CANCELLED_MARK"]
+__all__ = ["SolveService", "Ticket", "Intake", "ServeStats",
+           "solve_cached", "failed_on_raise", "LATENCY_BOUNDS_SECONDS",
+           "LATENCY_WINDOW", "CANCELLED_MARK"]
 
 #: Error prefix marking a result produced by :meth:`SolveService.cancel`
 #: rather than by execution — the fleet router skips these when
@@ -164,6 +164,97 @@ class Ticket:
         for fn in callbacks:
             fn(self)
         return True
+
+
+class Intake:
+    """The request intake of a :class:`SolveService` or a fleet router:
+    the coalescing table ``entries`` (key → :class:`Ticket`, or the
+    router's placement record; ``pending`` is its length), the closed
+    flag, the optional :class:`AdmissionController` with the coalesced
+    and shed counts, and the drain condition.  It locks its owner's
+    ``lock``; the owner reads ``entries`` and the counts under it and
+    never calls in while holding it."""
+
+    def __init__(self, lock, name: str,
+                 admission: Union[AdmissionPolicy, AdmissionController,
+                                  None],
+                 workers: int, *, coalesced_metric: Optional[str] = None,
+                 shed_metric: Optional[str] = None) -> None:
+        if isinstance(admission, AdmissionPolicy):
+            admission = AdmissionController(admission, workers=workers)
+        self.admission: Optional[AdmissionController] = admission
+        self._coalesced_metric = coalesced_metric
+        self._shed_metric = shed_metric
+        self._idle = obs.named_condition(f"{name}._idle", lock)
+        self.entries: Dict[str, Any] = {}      # guarded-by: _idle
+        self.coalesced = 0                     # guarded-by: _idle
+        self.shed = 0                          # guarded-by: _idle
+        self._closed = False                   # guarded-by: _idle
+
+    def admit(self, key: str, depth: Optional[Sized],
+              make: Callable[[str], Any]) -> Tuple[Any, bool]:
+        """``(entry, fresh)``: the entry ``key`` coalesces onto, or a
+        new ``make(key)``, built under the lock and published.  Closed
+        check, coalescing, admission (at ``len(depth)``, or this
+        table's length when ``depth`` is None) for new work only, since
+        a duplicate costs no queue slot, then a re-check and
+        publication."""
+        with self._idle:
+            if self._closed:
+                raise ServiceClosedError()
+            entry = self.entries.get(key)
+            if entry is None and self.admission is None:
+                entry = self.entries[key] = make(key)
+                return entry, True
+            backlog = len(self.entries)
+            if entry is not None:
+                self.coalesced += 1
+        if entry is None:
+            try:
+                self.admission.check(backlog if depth is None
+                                     else len(depth))
+            except ServiceOverloadedError:
+                with self._idle:
+                    self.shed += 1
+                self._observe(self._shed_metric)
+                raise
+            with self._idle:
+                entry = self.entries.get(key)
+                if entry is None:
+                    entry = self.entries[key] = make(key)
+                    return entry, True
+                # An identical submit won the race while admission ran.
+                self.coalesced += 1
+        self._observe(self._coalesced_metric)
+        return entry, False
+
+    def release(self, key: str, entry: Any) -> None:
+        """Unpublish ``entry`` if it is still ``key``'s (exactly once)."""
+        with self._idle:
+            if self.entries.get(key) is entry:
+                del self.entries[key]
+                self._idle.notify_all()
+
+    def close(self) -> bool:
+        """Refuse new work from now on; False if already closed."""
+        with self._idle:
+            closed, self._closed = self._closed, True
+        return not closed
+
+    @property
+    def pending(self) -> int:
+        with self._idle:
+            return len(self.entries)
+
+    def drain(self, timeout: Optional[float] = None) -> bool:
+        with self._idle:
+            return self._idle.wait_for(lambda: not self.entries, timeout)
+
+    @staticmethod
+    def _observe(metric: Optional[str]) -> None:
+        if metric is not None and obs.is_enabled():
+            obs.registry.counter(metric,
+                                 "request intake accounting").inc()
 
 
 @dataclass
@@ -280,13 +371,6 @@ class SolveService:
         self.batch_size = int(batch_size)
         self._fault_plan = fault_plan
         self._retry = retry
-        if isinstance(admission, AdmissionController):
-            self._admission: Optional[AdmissionController] = admission
-        elif admission is not None:
-            self._admission = AdmissionController(admission,
-                                                  workers=int(workers))
-        else:
-            self._admission = None
         # The timer thread exists only when retry/hedging is on —
         # fault-free services pay nothing for it.
         self._timer = DelayTimer() if retry is not None else None
@@ -294,11 +378,9 @@ class SolveService:
         # Witness-aware factories: plain threading primitives unless a
         # LockWitness is installed (repro.obs.lockwitness).
         self._lock = obs.named_lock("serve.service._lock")
-        self._idle = obs.named_condition("serve.service._idle",
-                                         self._lock)
-        self._inflight: Dict[str, Ticket] = {}   # guarded-by: _lock
-        self._pending = 0                        # guarded-by: _lock
-        self._closed = False                     # guarded-by: _lock
+        self._intake = Intake(self._lock, "serve.service", admission,
+                              int(workers),
+                              coalesced_metric="serve.coalesced")
         self._stats = ServeStats()               # guarded-by: _lock
         self._waits: Deque[float] = collections.deque(
             maxlen=LATENCY_WINDOW)               # guarded-by: _lock
@@ -336,10 +418,8 @@ class SolveService:
         including replacements spawned by supervision during the drain
         — are joined until the pool is stable.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+        if not self._intake.close():
+            return
         if self._timer is not None:
             self._timer.close()
         self._queue.close()
@@ -355,17 +435,14 @@ class SolveService:
 
     def drain(self, timeout: Optional[float] = None) -> bool:
         """Condition-wait until every accepted request has a result."""
-        with self._idle:
-            return self._idle.wait_for(lambda: self._pending == 0,
-                                       timeout)
+        return self._intake.drain(timeout)
 
     @property
     def pending(self) -> int:
         """Accepted-but-unresolved requests (0 after a clean drain —
         the zero-stranded-tickets invariant ``repro chaos --serve``
         asserts)."""
-        with self._lock:
-            return self._pending
+        return self._intake.pending
 
     @property
     def queue_depth(self) -> int:
@@ -387,7 +464,7 @@ class SolveService:
         cancel won, re-submit on the new one (exactly-once).
         """
         with self._lock:
-            ticket = self._inflight.get(key)
+            ticket = self._intake.entries.get(key)
         if ticket is None:
             return False
         won = ticket._set(SolveResult(
@@ -397,7 +474,7 @@ class SolveService:
             with self._lock:
                 self._stats.cancelled += 1
             self._observe_counter("serve.cancelled")
-        self._finalize(ticket)
+        self._intake.release(ticket.key, ticket)
         return won
 
     # -- producer side -----------------------------------------------------
@@ -411,39 +488,10 @@ class SolveService:
         that long for a slot before raising — the service never blocks
         a submitter forever and never drops silently.
         """
-        if self._closed:
-            raise ServiceClosedError()
-        key = request.key()
-        if self._admission is not None:
-            with self._lock:
-                ticket = self._inflight.get(key)
-                if ticket is not None:
-                    self._stats.coalesced += 1
-                    self._observe_counter("serve.coalesced")
-                    return ticket
-            # Coalesced duplicates never reach this point — they cost
-            # no queue slot, so only genuinely new work can be shed.
-            try:
-                self._admission.check(len(self._queue))
-            except ServiceOverloadedError:
-                with self._lock:
-                    self._stats.shed += 1
-                raise
-        with self._lock:
-            ticket = self._inflight.get(key)
-            if ticket is not None:
-                # A coalescing hit — or, with admission on, a race
-                # with an identical submit while the check ran.
-                self._stats.coalesced += 1
-                self._observe_counter("serve.coalesced")
-                return ticket
-            ticket = Ticket(key)
-            self._inflight[key] = ticket
-            # Counted as pending from the instant the ticket becomes
-            # visible for coalescing: a fast worker can then never
-            # drive _pending negative, and a drain() waiter can never
-            # observe zero while an accepted job is still queued.
-            self._pending += 1
+        ticket, fresh = self._intake.admit(request.key(), self._queue,
+                                           Ticket)
+        if not fresh:
+            return ticket
         job = _Job(request=request, ticket=ticket,
                    enqueued_at=time.monotonic(),
                    deadline_at=(time.monotonic() + request.deadline_s
@@ -470,15 +518,10 @@ class SolveService:
     def _withdraw(self, ticket: Ticket, reason: str) -> None:
         """Retract a published ticket whose enqueue failed.
 
-        Between publication in ``_inflight`` and the failed queue put,
-        concurrent submitters may have coalesced onto this ticket and
-        already returned it to their callers — so it must still reach
-        a terminal result, or those callers block forever.
+        Concurrent submitters may have coalesced onto it meanwhile, so
+        it must still reach a terminal result, or they block forever.
         """
-        with self._lock:
-            self._inflight.pop(ticket.key, None)
-            self._pending -= 1
-            self._idle.notify_all()
+        self._intake.release(ticket.key, ticket)
         ticket._set(SolveResult(key=ticket.key, status="failed",
                                 error=reason))
 
@@ -536,7 +579,7 @@ class SolveService:
             self._stats.worker_crashes += 1
         for job in jobs:
             if job.ticket.done():
-                self._finalize(job.ticket)
+                self._intake.release(job.ticket.key, job.ticket)
                 continue
             if job.crash_requeued:
                 exc = WorkerCrashedError(wid, batch_seq, job.ticket.key)
@@ -564,19 +607,6 @@ class SolveService:
 
     # -- job resolution ----------------------------------------------------
 
-    def _finalize(self, ticket: Ticket) -> None:
-        """Exactly-once completion bookkeeping for a ticket.
-
-        With hedging, two jobs share one ticket and both pass through
-        here; only the call that finds the ticket still published in
-        ``_inflight`` decrements ``_pending``.
-        """
-        with self._lock:
-            if self._inflight.get(ticket.key) is ticket:
-                del self._inflight[ticket.key]
-                self._pending -= 1
-                self._idle.notify_all()
-
     def _fail(self, job: _Job, error: str) -> None:
         """Terminal failure for a job (crash re-loss, exhausted retry)."""
         result = SolveResult(key=job.ticket.key, status="failed",
@@ -586,7 +616,7 @@ class SolveService:
             self._observe_counter("serve.failures")
             with self._lock:
                 self._stats.failed += 1
-        self._finalize(job.ticket)
+        self._intake.release(job.ticket.key, job.ticket)
 
     # -- retry / hedging ---------------------------------------------------
 
@@ -619,7 +649,7 @@ class SolveService:
         """Timer callback: put a retried job back on the queue."""
         if job.ticket.done():
             # A hedge (or the crash path) resolved it meanwhile.
-            self._finalize(job.ticket)
+            self._intake.release(job.ticket.key, job.ticket)
             return
         job.enqueued_at = time.monotonic()
         self._queue.requeue(job, job.request.priority)
@@ -667,7 +697,7 @@ class SolveService:
             # requeue raced a concurrent resolution).
             if job.hedge or self._retry is not None:
                 self._note_hedge_loss(job)
-            self._finalize(ticket)
+            self._intake.release(ticket.key, ticket)
             return
         wait = started - job.enqueued_at
         retried = False
@@ -720,9 +750,9 @@ class SolveService:
             # the finally-block's "internal error" fallback.
             if ticket._set(result):
                 self._record_latency(result)
-                if self._admission is not None and result.ok:
-                    self._admission.note_service_seconds(
-                        result.service_seconds)
+                admission = self._intake.admission
+                if admission is not None and result.ok:
+                    admission.note_service_seconds(result.service_seconds)
                 if job.hedge:
                     with self._lock:
                         self._stats.hedge_wins += 1
@@ -740,7 +770,7 @@ class SolveService:
                         key=ticket.key, status="failed",
                         error="internal error before a result was "
                               "built"))
-                self._finalize(ticket)
+                self._intake.release(ticket.key, ticket)
 
     def _record_latency(self, result: SolveResult) -> None:
         with self._lock:
@@ -787,10 +817,10 @@ class SolveService:
                 completed=self._stats.completed,
                 failed=self._stats.failed,
                 expired=self._stats.expired,
-                coalesced=self._stats.coalesced,
+                coalesced=self._intake.coalesced,
                 rejected=self._stats.rejected,
                 degraded=self._stats.degraded,
-                shed=self._stats.shed,
+                shed=self._intake.shed,
                 cancelled=self._stats.cancelled,
                 worker_crashes=self._stats.worker_crashes,
                 worker_restarts=self._stats.worker_restarts,

@@ -1,5 +1,6 @@
-"""ShardRouter: deterministic routing, coalescing, failover
-re-routing with bitwise parity, partitions, shedding, typed losses."""
+"""ShardRouter: deterministic routing, failover re-routing with
+bitwise parity, partitions, breakers, typed losses (coalescing,
+shedding and the closed check: tests/serve/test_intake.py)."""
 
 import time
 
@@ -10,12 +11,8 @@ from repro.faults import FleetFaultPlan, RouterPartition, ShardCrash, \
 from repro.fleet import NoLiveShardsError, ShardedFleet, ShardRouter
 from repro.fleet.ring import HashRing
 from repro.molecules import synthetic_protein
-from repro.serve import (
-    AdmissionPolicy,
-    ServiceOverloadedError,
-    SolveRequest,
-    SolveService,
-)
+from repro.molecules.molecule import Molecule
+from repro.serve import SolveRequest, SolveService
 
 ATOMS = 60
 HOLD = 1.0
@@ -65,18 +62,6 @@ def test_same_workload_same_assignment_and_results():
     assert placements[0][0] == placements[0][1]
 
 
-def test_fleet_level_coalescing_shares_one_ticket():
-    req = _requests("coal", 1)[0]
-    with ShardedFleet(shards=2) as fleet:
-        t1 = fleet.submit(req)
-        t2 = fleet.submit(SolveRequest(molecule=req.molecule,
-                                       idempotency_key=req.idempotency_key))
-        assert t1 is t2
-        assert fleet.drain(timeout=60.0)
-        assert fleet.stats().coalesced == 1
-        assert fleet.stats().submitted == 1
-
-
 def test_shard_death_mid_batch_bitwise_parity_with_single_shard():
     """The satellite contract: kill a shard mid-batch; every energy the
     fleet delivers is bitwise identical to a 1-worker single-service
@@ -96,7 +81,7 @@ def test_shard_death_mid_batch_bitwise_parity_with_single_shard():
     with ShardedFleet(shards=2, fault_plan=plan) as fleet:
         tickets = [fleet.submit(r) for r in ordered]
         assert fleet.drain(timeout=120.0)
-        assert fleet.router.outstanding == 0
+        assert fleet.pending == 0
         stats = fleet.stats()
         assert stats.dead == [victim]
         assert stats.rerouted == counts[victim] - 1
@@ -132,30 +117,6 @@ def test_partitioned_shard_is_routed_around():
         assert fleet.stats().rerouted == towards_target
 
 
-def test_admission_sheds_with_retry_after_hint():
-    holds = _holds([0, 1])
-    reqs = _requests("shed", 4)
-    plan = FleetFaultPlan([ShardStall(0, HOLD, 0),
-                           ShardStall(1, HOLD, 0)], seed=0)
-    with ShardedFleet(shards=2, fault_plan=plan,
-                      admission=AdmissionPolicy(max_queue_depth=3)
-                      ) as fleet:
-        tickets = [fleet.submit(holds[0]), fleet.submit(holds[1])]
-        shed = []
-        for r in reqs:
-            try:
-                tickets.append(fleet.submit(r))
-            except ServiceOverloadedError as exc:
-                shed.append(exc)
-        # depth at the i-th request is 2 + i; 3 admits only i=0
-        assert len(shed) == 3
-        assert all(e.retry_after_s > 0 for e in shed)
-        assert fleet.drain(timeout=60.0)
-        assert fleet.stats().shed == 3
-        assert all(t.result(timeout=0.0).status == "ok"
-                   for t in tickets)
-
-
 def test_full_shard_queue_rejection_never_strands_the_entry():
     """Regression: a shard whose bounded queue rejected a dispatch used
     to let QueueFullError escape fleet.submit *after* the entry was
@@ -174,7 +135,7 @@ def test_full_shard_queue_rejection_never_strands_the_entry():
         assert rejected, "expected at least one queue-full rejection"
         fleet.router.fail_over(0, reason="release the hold")
         assert fleet.drain(timeout=60.0)
-        assert fleet.router.outstanding == 0
+        assert fleet.pending == 0
         assert all(t.done() for t in tickets)
 
 
@@ -261,9 +222,34 @@ def test_every_victim_is_revoked_before_any_redispatch(monkeypatch,
     choreography()
 
 
-def test_submit_after_close_raises():
-    fleet = ShardedFleet(shards=1)
-    fleet.close()
-    from repro.serve.errors import ServiceClosedError
-    with pytest.raises(ServiceClosedError):
-        fleet.submit(_requests("closed", 1)[0])
+def test_a_requests_own_failure_keeps_its_shard_breaker_closed():
+    """Regression: every failed result counted as a breaker failure, so
+    five requests per shard whose molecule fails preflight opened both
+    breakers, and a valid request then failed with "no live shards"
+    until the breakers' open_seconds ran out.  A delivered result means
+    the shard answered."""
+    ring = HashRing([0, 1])
+    bad = {0: [], 1: []}
+    seed = 7000
+    while min(len(reqs) for reqs in bad.values()) < 5:
+        mol = synthetic_protein(ATOMS, seed=seed)
+        positions = mol.positions.copy()
+        positions[1] = positions[0]             # two coincident atoms
+        req = SolveRequest(
+            molecule=Molecule(positions, mol.charges, mol.radii),
+            idempotency_key=f"bad-{seed}")
+        owner = bad[ring.route(req.route_key())]
+        if len(owner) < 5:
+            owner.append(req)
+        seed += 1
+    with ShardedFleet(shards=2) as fleet:
+        tickets = [fleet.submit(r) for reqs in bad.values() for r in reqs]
+        assert fleet.drain(timeout=60.0)
+        for t in tickets:
+            res = t.result(timeout=0.0)
+            assert res.status == "failed"
+            assert "[preflight] coincident atoms" in res.error
+        assert [fleet.router.breaker(s).state for s in (0, 1)] == \
+            ["closed", "closed"]
+        good = fleet.submit(_requests("good", 1)[0]).result(timeout=60.0)
+        assert good.status == "ok", good.error

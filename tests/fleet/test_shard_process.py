@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.fleet.shard as shard_mod
 from repro.cli import main as repro_main
+from repro.edge.app import MAX_RECIPES
 from repro.fleet import ProcessShard, ShardedFleet, ThreadShard
 from repro.fleet.shard import PROC_DIED_ERROR
 from repro.molecules import synthetic_protein
@@ -196,14 +198,38 @@ def test_unknown_route_is_typed_failure_not_shard_death():
     shard = ProcessShard(0)
     try:
         req = _req(5)
-        shard._routes.add(req.route_key())  # withhold the payload
+        shard._routes[req.route_key()] = None  # withhold the payload
         res = shard.submit(req).result(timeout=120.0)
         assert res.status == "failed"
         assert "unknown route" in res.error
         assert shard.ping()                 # the shard survived
-        shard._routes.discard(req.route_key())
+        del shard._routes[req.route_key()]
         ok = shard.submit(_req(5, key="retry")).result(timeout=120.0)
         assert ok.status == "ok"
+    finally:
+        shard.close()
+
+
+def test_route_memo_is_bounded_and_evicts_in_step(monkeypatch):
+    """Regression: the child's molecule memo and the parent's route
+    table each gained one entry per distinct route for the server's
+    whole life.  Both now keep the latest ROUTE_MEMO routes and evict
+    the oldest together, so an evicted route's next call carries its
+    molecule again."""
+    assert shard_mod.ROUTE_MEMO >= MAX_RECIPES  # a warm edge never evicts
+    monkeypatch.setattr(shard_mod, "ROUTE_MEMO", 3)  # before the fork
+    shard = ProcessShard(0)
+    try:
+        energies = []
+        for i in range(5):
+            res = shard.submit(_req(60 + i)).result(timeout=120.0)
+            assert res.status == "ok", res.error
+            assert len(shard._routes) <= 3
+            energies.append(float(res.energy).hex())
+        again = shard.submit(_req(60, key="evicted")).result(timeout=120.0)
+        assert again.status == "ok", again.error
+        assert float(again.energy).hex() == energies[0]
+        assert len(shard._routes) <= 3
     finally:
         shard.close()
 

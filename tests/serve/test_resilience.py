@@ -278,25 +278,3 @@ def test_hedge_beats_straggler_and_cancels_loser():
     assert st.hedges == 1
     assert st.hedge_wins == 1
     assert st.hedge_cancelled == 1
-
-
-def test_shed_ahead_of_queue_full():
-    svc = SolveService(workers=1, batch_size=1, queue_capacity=64,
-                       fault_plan=ServeFaultPlan(
-                           [SlowWorker(seconds=0.5,
-                                       key_prefix="shed-hold-")],
-                           seed=1),
-                       admission=AdmissionPolicy(max_queue_depth=2))
-    t0 = svc.submit(_req("shed-hold-0", seed=9))
-    svc._queue.wait_empty(timeout=30.0)
-    t1 = svc.submit(_req("shed-1", seed=10))
-    t2 = svc.submit(_req("shed-2", seed=11))
-    with pytest.raises(ServiceOverloadedError):
-        svc.submit(_req("shed-3", seed=12))
-    svc.drain(timeout=60.0)
-    svc.close()
-    st = svc.stats()
-    assert st.shed == 1
-    assert st.rejected == 0  # shed fired before QueueFullError could
-    for t in (t0, t1, t2):
-        assert t.result(timeout=0.0).status == "ok"

@@ -80,6 +80,6 @@ def test_witness_off_serve_stack_uses_raw_primitives():
         assert type(service._queue._lock) is raw_lock_type
         assert type(service.cache._lock) is raw_lock_type
         assert type(service.cache._disk_lock) is raw_lock_type
-        assert isinstance(service._idle, threading.Condition)
+        assert isinstance(service._intake._idle, threading.Condition)
     finally:
         service.close()

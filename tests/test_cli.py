@@ -1,7 +1,15 @@
-"""CLI tests (main() invoked in-process)."""
+"""CLI tests (main() invoked in-process, except where a test needs a
+server process of its own)."""
+
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.molecules import pdbio, synthetic_protein
 
@@ -189,6 +197,32 @@ class TestServe:
         err = capsys.readouterr().err
         assert err.startswith("bad --workload file: ")
         assert len(err.splitlines()) == 1 and names in err
+
+    def test_http_edge_stops_on_sigint_it_started_ignoring(self):
+        """Regression: a shell starts a background job (`cmd &`) with
+        SIGINT ignored, so the edge ignored `kill -INT` and ran out its
+        whole --http-duration.  It now restores SIGINT once its shard
+        children exist, and drains on it."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--http", "--port",
+             "0", "--shards", "2", "--shard-backend", "process",
+             "--http-duration", "120"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT,
+                                             signal.SIG_IGN))
+        try:
+            assert "edge listening" in proc.stdout.readline()
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=20)
+            assert proc.returncode == 0, err
+            assert "interrupted; draining" in err
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
 
     def test_metrics_out_includes_serve_counters(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.json"
